@@ -14,6 +14,7 @@
 //    guarantee across thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -85,8 +86,76 @@ TEST(Certificate, Mp3EmitsAndChecksCleanWithPublishedCapacities) {
       analysis::check_certificate(mp3.graph, cert);
   EXPECT_TRUE(check.ok) << render(check);
   EXPECT_TRUE(check.violations.empty());
-  EXPECT_GT(check.clauses_checked, 50u);
+  EXPECT_EQ(check.clauses_checked, 95u);
   EXPECT_TRUE(check.first_violation().empty());
+}
+
+// Clean certificates of every generator class check an exact number of
+// clauses: the clause catalogue is part of the checker's contract.
+TEST(Certificate, CleanCertificatesCheckAnExactClauseCount) {
+  struct Expected {
+    models::ModelClass model_class;
+    bool source_constrained;
+    std::uint64_t clauses;
+  };
+  const Expected cases[] = {
+      {models::ModelClass::Chain, false, 99},
+      {models::ModelClass::ForkJoin, false, 231},
+      {models::ModelClass::Cyclic, false, 250},
+      {models::ModelClass::MultiConstraint, false, 74},
+      {models::ModelClass::InteriorPinned, false, 126},
+      {models::ModelClass::Chain, true, 99},
+      {models::ModelClass::ForkJoin, true, 233},
+      {models::ModelClass::Cyclic, true, 252},
+  };
+  for (const Expected& expected : cases) {
+    SCOPED_TRACE(std::string(models::class_name(expected.model_class)) +
+                 (expected.source_constrained ? " source" : " sink"));
+    models::RandomModelSpec spec;
+    spec.model_class = expected.model_class;
+    spec.seed = 5;
+    spec.source_constrained = expected.source_constrained;
+    const models::SyntheticModel model = models::make_random_model(spec);
+    const GraphAnalysis sized =
+        analysis::compute_buffer_capacities(model.graph, model.constraints);
+    ASSERT_TRUE(sized.admissible);
+    const CertificateCheck check = analysis::check_certificate(
+        model.graph, analysis::make_certificate(model.graph, sized));
+    EXPECT_TRUE(check.ok) << render(check);
+    EXPECT_EQ(check.clauses_checked, expected.clauses);
+  }
+}
+
+// Witnesses whose exact products overflow int64 make the checker's
+// arithmetic throw mid-run; that is an invalid certificate, reported as
+// a Coverage violation after the clauses already found, never a throw.
+TEST(Certificate, ArithmeticOverflowIsReportedAsAViolation) {
+  models::Mp3Playback mp3 = models::make_mp3_playback();
+  const GraphAnalysis sized = analysis::compute_buffer_capacities(
+      mp3.graph, analysis::ConstraintSet{mp3.constraint});
+  ASSERT_TRUE(sized.admissible);
+  Certificate cert = analysis::make_certificate(mp3.graph, sized);
+  cert.actors[1].phi =
+      Duration(Rational(1, (std::int64_t{1} << 61) - 1));  // 2^61 - 1
+  cert.actors[2].phi =
+      Duration(Rational(1, (std::int64_t{1} << 31) - 1));  // 2^31 - 1
+
+  CertificateCheck check;
+  ASSERT_NO_THROW(check = analysis::check_certificate(mp3.graph, cert));
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.clauses_checked, 65u);
+  ASSERT_EQ(check.violations.size(), 3u);
+  EXPECT_EQ(describe(check.violations[0]),
+            "phi clause violated at actor 'vMP3': response time exceeds the "
+            "pacing witness; no valid schedule exists at the required rate "
+            "(3/125 s vs 1/2305843009213693951 s)");
+  EXPECT_EQ(describe(check.violations[1]),
+            "phi clause violated at actor 'vSRC': response time exceeds the "
+            "pacing witness; no valid schedule exists at the required rate "
+            "(1/100 s vs 1/2147483647 s)");
+  EXPECT_EQ(describe(check.violations[2]),
+            "coverage clause violated at certificate: arithmetic failure "
+            "while checking: rational overflow in multiplication");
 }
 
 TEST(Certificate, RefusesInadmissibleAndPreLeadShapes) {
@@ -112,6 +181,11 @@ struct Mutation {
   ClauseKind kind;
   std::string where;  // substring the violation subject must contain
   void (*apply)(Certificate&);
+  // The exact diagnosis: violation count, clauses checked, and the
+  // describe() text of the first violation, byte for byte.
+  std::size_t violations;
+  std::uint64_t clauses;
+  const char* first;
 };
 
 void expect_detected(const dataflow::VrdfGraph& graph,
@@ -126,6 +200,9 @@ void expect_detected(const dataflow::VrdfGraph& graph,
       << analysis::clause_kind_name(mutation.kind) << " violation at '"
       << mutation.where << "', got:\n"
       << render(check);
+  EXPECT_EQ(check.first_violation(), mutation.first) << mutation.label;
+  EXPECT_EQ(check.violations.size(), mutation.violations) << mutation.label;
+  EXPECT_EQ(check.clauses_checked, mutation.clauses) << mutation.label;
 }
 
 // The MP3 model's certificate: actors vBR(0) vMP3(1) vSRC(2) vDAC(3) in
@@ -141,90 +218,185 @@ TEST(CertificateMutations, EveryClauseFamilyIsDetectedAndNamed) {
   const Mutation mutations[] = {
       // ---- φ clauses
       {"phi bumped on an interior actor", ClauseKind::Phi, "vMP3",
-       [](Certificate& c) { c.actors[1].phi += Duration(Rational(1, 7)); }},
+       [](Certificate& c) { c.actors[1].phi += Duration(Rational(1, 7)); },
+       7, 95,
+       "phi clause violated at buffer 'vBR -> vMP3': producer pacing witness "
+       "does not equal the sink-side demand phi(consumer) * pi_min / "
+       "gamma_max (32/625 s vs 4672/13125 s)"},
       {"phi zeroed", ClauseKind::Phi, "vBR",
-       [](Certificate& c) { c.actors[0].phi = Duration(); }},
+       [](Certificate& c) { c.actors[0].phi = Duration(); },
+       3, 95,
+       "phi clause violated at actor 'vBR': pacing witness must be positive "
+       "(0 s vs > 0 s)"},
       {"constraint period moved off the anchor's phi", ClauseKind::Phi,
        "vDAC",
        [](Certificate& c) {
          c.constraints[0].period += Duration(Rational(1, 100000));
-       }},
+       },
+       1, 95,
+       "phi clause violated at actor 'vDAC': a constrained actor's pacing "
+       "witness must equal its period (1/44100 s vs 1441/44100000 s)"},
       {"rho raised above phi", ClauseKind::Phi, "vSRC",
-       [](Certificate& c) { c.actors[2].rho = c.actors[2].phi * Rational(2); }},
+       [](Certificate& c) { c.actors[2].rho = c.actors[2].phi * Rational(2); },
+       9, 95,
+       "coverage clause violated at actor 'vSRC': recorded response time does "
+       "not match the graph's rho (1/50 s vs 1/100 s)"},
       // ---- ω clauses
       {"lead bumped on an interior actor", ClauseKind::Omega, "vMP3",
-       [](Certificate& c) { c.actors[1].lead += Duration(Rational(1, 9)); }},
+       [](Certificate& c) { c.actors[1].lead += Duration(Rational(1, 9)); },
+       5, 95,
+       "omega clause violated at actor 'vBR': alignment lead does not satisfy "
+       "the sink-region longest-path equation omega = rho + "
+       "max(omega(consumer) + s*(pi_max-1)) (1201859/7056000 s vs "
+       "220651/784000 s)"},
       {"anchor lead made nonzero", ClauseKind::Omega, "vDAC",
-       [](Certificate& c) { c.actors[3].lead = Duration(Rational(1, 2)); }},
+       [](Certificate& c) { c.actors[3].lead = Duration(Rational(1, 2)); },
+       2, 95,
+       "omega clause violated at actor 'vSRC': alignment lead does not "
+       "satisfy the sink-region longest-path equation omega = rho + "
+       "max(omega(consumer) + s*(pi_max-1)) (881/44100 s vs 22931/44100 s)"},
       // ---- ζ clauses
       {"delta_producer perturbed", ClauseKind::Zeta, "vBR -> vMP3",
        [](Certificate& c) {
          c.pairs[0].delta_producer += Duration(Rational(1, 3));
-       }},
+       },
+       1, 95,
+       "zeta clause violated at buffer 'vBR -> vMP3': producer slack does not "
+       "equal max(alignment gap, rho + s*(pi_max-1)) (10457/24000 s vs "
+       "819/8000 s)"},
       {"delta_consumer perturbed", ClauseKind::Zeta, "vMP3 -> vSRC",
        [](Certificate& c) {
          c.pairs[1].delta_consumer += Duration(Rational(1, 3));
-       }},
+       },
+       1, 95,
+       "zeta clause violated at buffer 'vMP3 -> vSRC': consumer slack does "
+       "not equal rho + s*(gamma_max-1) (5653/16000 s vs 959/48000 s)"},
       {"raw_tokens perturbed", ClauseKind::Zeta, "vSRC -> vDAC",
-       [](Certificate& c) { c.pairs[2].raw_tokens += Rational(1, 2); }},
+       [](Certificate& c) { c.pairs[2].raw_tokens += Rational(1, 2); },
+       1, 95,
+       "zeta clause violated at buffer 'vSRC -> vDAC': raw token count does "
+       "not equal (delta_producer + delta_consumer) / s (1765/2 vs 882)"},
       {"tight_rounding claim flipped on", ClauseKind::Zeta, "vBR -> vMP3",
-       [](Certificate& c) { c.pairs[0].tight_rounding = true; }},
+       [](Certificate& c) { c.pairs[0].tight_rounding = true; },
+       1, 95,
+       "zeta clause violated at buffer 'vBR -> vMP3': recorded tight-rounding "
+       "claim does not match the static-and-adjacent-to-anchor predicate "
+       "(tight vs padded)"},
       {"tight_rounding claim flipped off", ClauseKind::Zeta, "vSRC -> vDAC",
-       [](Certificate& c) { c.pairs[2].tight_rounding = false; }},
+       [](Certificate& c) { c.pairs[2].tight_rounding = false; },
+       1, 95,
+       "zeta clause violated at buffer 'vSRC -> vDAC': recorded "
+       "tight-rounding claim does not match the static-and-adjacent-to-anchor "
+       "predicate (padded vs tight)"},
       {"capacity shaved by one container", ClauseKind::Zeta, "vBR -> vMP3",
        [](Certificate& c) {
          c.pairs[0].capacity -= 1;
          c.total_capacity -= 1;  // keep the sum consistent — the per-pair
                                  // equation alone must catch it
-       }},
+       },
+       1, 95,
+       "zeta clause violated at buffer 'vBR -> vMP3': capacity does not equal "
+       "the rounded slack plus the initial tokens (6014 vs 6015)"},
       {"total_capacity inflated", ClauseKind::Zeta, "certificate",
-       [](Certificate& c) { c.total_capacity += 1; }},
+       [](Certificate& c) { c.total_capacity += 1; },
+       1, 95,
+       "zeta clause violated at certificate: total capacity does not equal "
+       "the sum of the pair capacities (10161 vs 10160)"},
       {"rounding mode swapped to PaperLiteral", ClauseKind::Zeta,
        "vSRC -> vDAC",
        [](Certificate& c) {
          // b3 is the tight pair (x integral): ⌊x⌋+1 would buy one extra
          // container, so the recorded 882 no longer matches.
          c.rounding = analysis::RoundingMode::PaperLiteral;
-       }},
+       },
+       1, 95,
+       "zeta clause violated at buffer 'vSRC -> vDAC': capacity does not "
+       "equal the rounded slack plus the initial tokens (882 vs 883)"},
       // ---- δ clauses
       {"cycle requirement invented on a skeleton pair", ClauseKind::Delta,
        "vMP3 -> vSRC",
-       [](Certificate& c) { c.pairs[1].required_initial_tokens = 2; }},
+       [](Certificate& c) { c.pairs[1].required_initial_tokens = 2; },
+       1, 95,
+       "delta clause violated at buffer 'vMP3 -> vSRC': skeleton pairs have "
+       "no cycle token requirement (2 vs 0)"},
       // ---- coverage clauses
       {"side flipped to Source", ClauseKind::Coverage, "vSRC -> vDAC",
-       [](Certificate& c) { c.pairs[2].side = ConstraintSide::Source; }},
+       [](Certificate& c) { c.pairs[2].side = ConstraintSide::Source; },
+       1, 95,
+       "coverage clause violated at buffer 'vSRC -> vDAC': recorded "
+       "rate-determining side does not match the anchor reachability of the "
+       "edge's endpoints (Source vs Sink)"},
       {"variable pair claimed static", ClauseKind::Coverage, "vBR -> vMP3",
-       [](Certificate& c) { c.pairs[0].is_static = true; }},
+       [](Certificate& c) { c.pairs[0].is_static = true; },
+       1, 95,
+       "coverage clause violated at buffer 'vBR -> vMP3': recorded staticness "
+       "does not match the edge's rate sets (pi={2048}, gamma=[0,960]) "
+       "(static vs variable)"},
       {"static pair claimed variable", ClauseKind::Coverage, "vMP3 -> vSRC",
-       [](Certificate& c) { c.pairs[1].is_static = false; }},
+       [](Certificate& c) { c.pairs[1].is_static = false; },
+       1, 95,
+       "coverage clause violated at buffer 'vMP3 -> vSRC': recorded "
+       "staticness does not match the edge's rate sets (pi={1152}, "
+       "gamma={480}) (variable vs static)"},
       {"acyclic edge claimed as feedback", ClauseKind::Coverage,
        "vMP3 -> vSRC",
-       [](Certificate& c) { c.pairs[1].is_feedback = true; }},
+       [](Certificate& c) { c.pairs[1].is_feedback = true; },
+       9, 96,
+       "coverage clause violated at buffer 'vMP3 -> vSRC': pair is recorded "
+       "as a feedback back-edge but lies on no directed cycle of the data "
+       "edges"},
       {"pair endpoints swapped", ClauseKind::Coverage, "",
        [](Certificate& c) {
          std::swap(c.pairs[0].producer, c.pairs[0].consumer);
-       }},
+       },
+       1, 17,
+       "coverage clause violated at buffer 'vMP3 -> vBR': pair fact endpoints "
+       "do not match the recorded data edge"},
       {"duplicate actor fact", ClauseKind::Coverage, "",
-       [](Certificate& c) { c.actors[0].actor = c.actors[1].actor; }},
+       [](Certificate& c) { c.actors[0].actor = c.actors[1].actor; },
+       1, 5,
+       "coverage clause violated at actor 'vMP3': duplicate actor fact"},
       {"duplicate pair fact", ClauseKind::Coverage, "",
-       [](Certificate& c) { c.pairs[0].buffer = c.pairs[1].buffer; }},
+       [](Certificate& c) { c.pairs[0].buffer = c.pairs[1].buffer; },
+       1, 17,
+       "coverage clause violated at buffer 'vBR -> vMP3': pair fact endpoints "
+       "do not match the recorded data edge"},
       {"anchor kind vector flipped", ClauseKind::Coverage, "vDAC",
-       [](Certificate& c) { c.constraint_is_sink_kind[0] = false; }},
+       [](Certificate& c) { c.constraint_is_sink_kind[0] = false; },
+       1, 95,
+       "coverage clause violated at actor 'vDAC': recorded anchor kind does "
+       "not match the skeleton structure (not sink-kind vs sink-kind)"},
       {"recorded rho unbound from the graph", ClauseKind::Coverage, "vMP3",
-       [](Certificate& c) { c.actors[1].rho += Duration(Rational(1, 5)); }},
+       [](Certificate& c) { c.actors[1].rho += Duration(Rational(1, 5)); },
+       9, 95,
+       "coverage clause violated at actor 'vMP3': recorded response time does "
+       "not match the graph's rho (28/125 s vs 3/125 s)"},
       {"recorded delta unbound from the graph", ClauseKind::Coverage,
        "vBR -> vMP3",
-       [](Certificate& c) { c.pairs[0].initial_tokens += 1; }},
+       [](Certificate& c) { c.pairs[0].initial_tokens += 1; },
+       2, 95,
+       "coverage clause violated at buffer 'vBR -> vMP3': recorded initial "
+       "tokens do not match the graph's delta (1 vs 0)"},
       {"skeleton order reversed", ClauseKind::Coverage, "",
-       [](Certificate& c) { std::swap(c.actors[0], c.actors[3]); }},
+       [](Certificate& c) { std::swap(c.actors[0], c.actors[3]); },
+       2, 36,
+       "coverage clause violated at buffer 'vBR -> vMP3': skeleton data edge "
+       "goes backward in the recorded topological order (the claimed skeleton "
+       "is not acyclic in this order) (3 vs 1)"},
       {"constraint actor repointed", ClauseKind::Phi, "vSRC",
        [](Certificate& c) {
          c.constraints[0].actor = c.actors[2].actor;  // vSRC: φ ≠ τ there
-       }},
+       },
+       7, 95,
+       "coverage clause violated at actor 'vSRC': recorded anchor kind does "
+       "not match the skeleton structure (not source-kind vs source-kind)"},
       {"negative constraint period", ClauseKind::Phi, "vDAC",
        [](Certificate& c) {
          c.constraints[0].period = Duration(Rational(-1, 44100));
-       }},
+       },
+       2, 95,
+       "phi clause violated at actor 'vDAC': throughput period must be "
+       "positive (-1/44100 s vs > 0 s)"},
   };
   for (const Mutation& mutation : mutations) {
     SCOPED_TRACE(mutation.label);
@@ -254,6 +426,10 @@ TEST(CertificateMutations, FeedbackDeltaClausesDetectedOnCyclicModels) {
         continue;
       }
       exercised = true;
+      // The first admissible cyclic model is seed 1; its back-edge is
+      // pair 5, s0_join -> src.
+      EXPECT_EQ(seed, 1u);
+      EXPECT_EQ(p, 5u);
       {
         Certificate mutated = cert;
         mutated.pairs[p].required_initial_tokens += 1;
@@ -261,6 +437,12 @@ TEST(CertificateMutations, FeedbackDeltaClausesDetectedOnCyclicModels) {
             analysis::check_certificate(model.graph, mutated);
         EXPECT_FALSE(check.ok);
         EXPECT_TRUE(names(check, ClauseKind::Delta, "")) << render(check);
+        EXPECT_EQ(check.first_violation(),
+                  "delta clause violated at buffer 's0_join -> src': "
+                  "recorded cycle token requirement does not equal the "
+                  "schedule-aligned max-cycle-ratio bound (20 vs 19)");
+        EXPECT_EQ(check.violations.size(), 1u);
+        EXPECT_EQ(check.clauses_checked, 184u);
       }
       {
         // A back-edge demoted to skeleton creates a claimed-skeleton
@@ -271,12 +453,96 @@ TEST(CertificateMutations, FeedbackDeltaClausesDetectedOnCyclicModels) {
             analysis::check_certificate(model.graph, mutated);
         EXPECT_FALSE(check.ok);
         EXPECT_TRUE(names(check, ClauseKind::Coverage, "")) << render(check);
+        EXPECT_EQ(check.first_violation(),
+                  "coverage clause violated at buffer 's0_join -> src': "
+                  "skeleton data edge goes backward in the recorded "
+                  "topological order (the claimed skeleton is not acyclic "
+                  "in this order) (3 vs 0)");
+        EXPECT_EQ(check.violations.size(), 1u);
+        EXPECT_EQ(check.clauses_checked, 68u);
       }
       break;
     }
   }
   ASSERT_TRUE(exercised)
       << "no admissible cyclic model with a feedback pair in 20 seeds";
+}
+
+// Two mutations whose diagnoses span many clause sites, pinned in full:
+// every violation's describe() text, in check order.
+TEST(CertificateMutations, MultiViolationDiagnosesRenderEveryClauseExactly) {
+  models::Mp3Playback mp3 = models::make_mp3_playback();
+  const GraphAnalysis sized = analysis::compute_buffer_capacities(
+      mp3.graph, analysis::ConstraintSet{mp3.constraint});
+  ASSERT_TRUE(sized.admissible);
+  const Certificate cert = analysis::make_certificate(mp3.graph, sized);
+  const auto diagnoses = [&](const Certificate& mutated) {
+    std::vector<std::string> out;
+    for (const ClauseViolation& violation :
+         analysis::check_certificate(mp3.graph, mutated).violations) {
+      out.push_back(describe(violation));
+    }
+    return out;
+  };
+
+  Certificate feedback = cert;
+  feedback.pairs[1].is_feedback = true;
+  const std::vector<std::string> feedback_expected = {
+      "coverage clause violated at buffer 'vMP3 -> vSRC': pair is recorded "
+      "as a feedback back-edge but lies on no directed cycle of the data "
+      "edges",
+      "coverage clause violated at buffer 'vMP3 -> vSRC': a feedback "
+      "back-edge must carry at least one circulating initial token (0 vs "
+      ">= 1)",
+      "coverage clause violated at actor 'vBR': actor receives no pacing "
+      "demand from any throughput constraint (it neither reaches a "
+      "sink-kind anchor nor hangs off a source-kind anchor)",
+      "coverage clause violated at actor 'vMP3': actor receives no pacing "
+      "demand from any throughput constraint (it neither reaches a "
+      "sink-kind anchor nor hangs off a source-kind anchor)",
+      "coverage clause violated at buffer 'vBR -> vMP3': skeleton edge is "
+      "paced by no throughput constraint (its consumer reaches no "
+      "sink-kind anchor and its producer hangs off no source-kind anchor)",
+      "omega clause violated at actor 'vBR': alignment lead does not "
+      "satisfy the source-region longest-path equation omega = "
+      "max(omega(producer) + rho(producer) + s*(pi_max-1)) "
+      "(1201859/7056000 s vs 0 s)",
+      "omega clause violated at actor 'vMP3': alignment lead does not "
+      "satisfy the source-region longest-path equation omega = "
+      "max(omega(producer) + rho(producer) + s*(pi_max-1)) "
+      "(479501/7056000 s vs 0 s)",
+      "delta clause violated at buffer 'vMP3 -> vSRC': recorded cycle token "
+      "requirement does not equal the schedule-aligned max-cycle-ratio "
+      "bound (0 vs 479)",
+      "delta clause violated at buffer 'vMP3 -> vSRC': circulating initial "
+      "tokens fall short of the cycle's max-cycle-ratio requirement; the "
+      "period cannot be sustained (0 vs 479)",
+  };
+  EXPECT_EQ(diagnoses(feedback), feedback_expected);
+
+  Certificate repointed = cert;
+  repointed.constraints[0].actor = repointed.actors[2].actor;
+  const std::vector<std::string> repointed_expected = {
+      "coverage clause violated at actor 'vSRC': recorded anchor kind does "
+      "not match the skeleton structure (not source-kind vs source-kind)",
+      "coverage clause violated at buffer 'vSRC -> vDAC': recorded "
+      "rate-determining side does not match the anchor reachability of the "
+      "edge's endpoints (Sink vs Source)",
+      "phi clause violated at actor 'vSRC': a constrained actor's pacing "
+      "witness must equal its period (1/100 s vs 1/44100 s)",
+      "omega clause violated at actor 'vSRC': a sink-kind anchor's "
+      "alignment lead must be zero (881/44100 s vs 0 s)",
+      "omega clause violated at actor 'vDAC': alignment lead does not "
+      "satisfy the source-region longest-path equation omega = "
+      "max(omega(producer) + rho(producer) + s*(pi_max-1)) (0 s vs "
+      "881/22050 s)",
+      "zeta clause violated at buffer 'vMP3 -> vSRC': recorded "
+      "tight-rounding claim does not match the "
+      "static-and-adjacent-to-anchor predicate (padded vs tight)",
+      "zeta clause violated at buffer 'vMP3 -> vSRC': capacity does not "
+      "equal the rounded slack plus the initial tokens (3263 vs 3262)",
+  };
+  EXPECT_EQ(diagnoses(repointed), repointed_expected);
 }
 
 // Exhaustive single-field sweep: EVERY numeric witness field of every

@@ -360,13 +360,21 @@ TEST(DeploymentCertificate, TamperedKappaTermsAreRejectedNamingTheClause) {
   ASSERT_TRUE(result.certificate.has_value());
   const Certificate& good = *result.certificate;
   const dataflow::VrdfGraph& graph = result.construction.graph;
-  ASSERT_TRUE(check_certificate(graph, good).ok);
+  const CertificateCheck clean = check_certificate(graph, good);
+  ASSERT_TRUE(clean.ok);
+  EXPECT_EQ(clean.clauses_checked, 127u);
 
-  const auto expect_kappa_violation = [&](Certificate tampered,
-                                          const char* what) {
+  // Each tamper pins the exact diagnosis: the describe() text of the
+  // first violation, the violation count and the clauses checked.
+  const auto expect_kappa_violation =
+      [&](Certificate tampered, const char* what, const char* first,
+          std::size_t violations, std::uint64_t clauses) {
     const CertificateCheck check = check_certificate(graph, tampered);
     SCOPED_TRACE(what);
     ASSERT_FALSE(check.ok);
+    EXPECT_EQ(check.first_violation(), first);
+    EXPECT_EQ(check.violations.size(), violations);
+    EXPECT_EQ(check.clauses_checked, clauses);
     bool kappa_clause = false;
     for (const ClauseViolation& violation : check.violations) {
       if (violation.kind == ClauseKind::Kappa) {
@@ -385,27 +393,50 @@ TEST(DeploymentCertificate, TamperedKappaTermsAreRejectedNamingTheClause) {
   {
     Certificate tampered = good;
     tampered.platform[1].kappa = tampered.platform[1].kappa + us(1);
-    expect_kappa_violation(std::move(tampered), "kappa off by 1 us");
+    expect_kappa_violation(
+        std::move(tampered), "kappa off by 1 us",
+        "kappa clause violated at actor 'audio-dsp': recorded kappa does "
+        "not equal the tdm-slot-granular bound re-derived from the arbiter "
+        "terms (901/1000000 s vs 9/10000 s)",
+        2, 127);
   }
   {
     Certificate tampered = good;
     tampered.platform[1].ceil_term += 1;
-    expect_kappa_violation(std::move(tampered), "inflated ceil witness");
+    expect_kappa_violation(
+        std::move(tampered), "inflated ceil witness",
+        "kappa clause violated at actor 'audio-dsp': ceil term is not the "
+        "ceiling of WCET/slot (2 vs 4/5)",
+        1, 125);
   }
   {
     Certificate tampered = good;
     tampered.platform[1].wheel = tampered.platform[1].wheel + us(100);
-    expect_kappa_violation(std::move(tampered), "stretched wheel");
+    expect_kappa_violation(
+        std::move(tampered), "stretched wheel",
+        "kappa clause violated at actor 'audio-dsp': recorded kappa does "
+        "not equal the tdm-slot-granular bound re-derived from the arbiter "
+        "terms (9/10000 s vs 1/1000 s)",
+        1, 127);
   }
   {
     Certificate tampered = good;
     tampered.platform[1].slot = us(125);
-    expect_kappa_violation(std::move(tampered), "shrunk slot");
+    expect_kappa_violation(
+        std::move(tampered), "shrunk slot",
+        "kappa clause violated at actor 'audio-dsp': ceil term is not the "
+        "ceiling of WCET/slot (1 vs 16/5)",
+        1, 125);
   }
   {
     Certificate tampered = good;
     tampered.platform[1].wcet = tampered.platform[1].wcet - us(1);
-    expect_kappa_violation(std::move(tampered), "trimmed wcet");
+    expect_kappa_violation(
+        std::move(tampered), "trimmed wcet",
+        "kappa clause violated at actor 'audio-dsp': recorded kappa does "
+        "not equal the tdm-slot-granular bound re-derived from the arbiter "
+        "terms (9/10000 s vs 899/1000000 s)",
+        1, 127);
   }
   {
     // Swapping the policy breaks the κ re-derivation (the recorded κ is
@@ -413,13 +444,23 @@ TEST(DeploymentCertificate, TamperedKappaTermsAreRejectedNamingTheClause) {
     Certificate tampered = good;
     tampered.platform[1].policy = ServicePolicy::RoundRobinLatencyRate;
     tampered.platform[1].total_wcet = tampered.platform[1].wcet * Rational(2);
-    expect_kappa_violation(std::move(tampered), "swapped policy");
+    expect_kappa_violation(
+        std::move(tampered), "swapped policy",
+        "kappa clause violated at actor 'audio-dsp': recorded kappa does "
+        "not equal the round-robin-latency-rate bound re-derived from the "
+        "arbiter terms (9/10000 s vs 3/2500 s)",
+        1, 126);
   }
   {
     Certificate tampered = good;
     tampered.platform.push_back(tampered.platform[1]);
     const CertificateCheck check = check_certificate(graph, tampered);
     EXPECT_FALSE(check.ok);  // duplicate platform fact
+    EXPECT_EQ(check.first_violation(),
+              "kappa clause violated at actor 'audio-dsp': duplicate platform "
+              "fact for one actor");
+    EXPECT_EQ(check.violations.size(), 1u);
+    EXPECT_EQ(check.clauses_checked, 129u);
   }
   {
     Certificate tampered = good;
@@ -428,6 +469,11 @@ TEST(DeploymentCertificate, TamperedKappaTermsAreRejectedNamingTheClause) {
             graph.actor_count()));
     const CertificateCheck check = check_certificate(graph, tampered);
     EXPECT_FALSE(check.ok);  // out-of-range actor
+    EXPECT_EQ(check.first_violation(),
+              "kappa clause violated at certificate: platform fact "
+              "references an actor outside the graph");
+    EXPECT_EQ(check.violations.size(), 1u);
+    EXPECT_EQ(check.clauses_checked, 121u);
   }
 }
 

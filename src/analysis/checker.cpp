@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "util/checked_int.hpp"
@@ -27,11 +28,72 @@ using dataflow::VrdfGraph;
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-[[nodiscard]] std::string dur(const Duration& d) {
-  return d.seconds().to_string() + " s";
-}
+/// What a clause is about: the certificate as a whole ("certificate"),
+/// one actor, or one buffer named by its recorded endpoints.  Held as
+/// ids and rendered only when the clause fails.
+class Subject {
+ public:
+  Subject(const char* text) : text_(text) {}  // NOLINT: implicit by design
+  Subject(ActorId actor)                       // NOLINT: implicit by design
+      : kind_(Kind::Actor), producer_(actor) {}
+  Subject(const PairFact& pair)  // NOLINT: implicit by design
+      : kind_(Kind::Buffer), producer_(pair.producer),
+        consumer_(pair.consumer) {}
 
-[[nodiscard]] std::string num(std::int64_t v) { return std::to_string(v); }
+  [[nodiscard]] std::string render(const VrdfGraph& graph) const {
+    switch (kind_) {
+      case Kind::Text:
+        return text_;
+      case Kind::Actor:
+        return "actor '" + graph.actor(producer_).name + "'";
+      case Kind::Buffer:
+        return "buffer '" + graph.actor(producer_).name + " -> " +
+               graph.actor(consumer_).name + "'";
+    }
+    return {};
+  }
+
+ private:
+  enum class Kind { Text, Actor, Buffer };
+  Kind kind_ = Kind::Text;
+  const char* text_ = "";
+  ActorId producer_;
+  ActorId consumer_;
+};
+
+/// One side of a clause's (in)equality: a duration ("p/q s"), an exact
+/// number ("p/q" or "p"), or fixed text ("> 0 s", "static", ...); empty
+/// by default, for structural facts.  Held by value and rendered only
+/// when the clause fails.
+class Side {
+ public:
+  Side() = default;
+  Side(const char* text) : text_(text) {}  // NOLINT: implicit by design
+  Side(const Duration& d)                  // NOLINT: implicit by design
+      : kind_(Kind::Seconds), value_(d.seconds()) {}
+  Side(const Rational& r)  // NOLINT: implicit by design
+      : kind_(Kind::Number), value_(r) {}
+  Side(std::int64_t n)  // NOLINT: implicit by design
+      : kind_(Kind::Number), value_(n) {}
+
+  [[nodiscard]] std::string render() const {
+    switch (kind_) {
+      case Kind::Text:
+        return text_;
+      case Kind::Number:
+        return value_.to_string();
+      case Kind::Seconds:
+        return value_.to_string() + " s";
+    }
+    return {};
+  }
+
+ private:
+  enum class Kind { Text, Number, Seconds };
+  Kind kind_ = Kind::Text;
+  const char* text_ = "";
+  Rational value_;
+};
 
 /// Undirected bridges of the data multigraph: edge p (by pair position)
 /// connects its endpoints; parallel edges and self-loops are never
@@ -112,32 +174,43 @@ class Checker {
     } catch (const Error& error) {
       // Exact arithmetic on a hostile certificate can overflow; a
       // certificate whose numbers do that is invalid, not a crash.
-      expect_(false, ClauseKind::Coverage, "certificate", "", "",
-              std::string("arithmetic failure while checking: ") +
-                  error.what());
+      expect_(false, ClauseKind::Coverage, "certificate", {}, {}, [&] {
+        return std::string("arithmetic failure while checking: ") +
+               error.what();
+      });
     }
     out_.ok = out_.violations.empty();
     return std::move(out_);
   }
 
  private:
-  bool expect_(bool condition, ClauseKind kind, std::string subject,
-               std::string lhs, std::string rhs, std::string message) {
-    ++out_.clauses_checked;
-    if (!condition) {
-      out_.violations.push_back({kind, std::move(subject), std::move(lhs),
-                                 std::move(rhs), std::move(message)});
+  /// Counts one clause.  A holding clause renders nothing; a failing one
+  /// is rendered by record_().  `message` is a string literal, or a
+  /// callable building a message with dynamic parts (called only on
+  /// failure).  Rendering precedes the count, so a clause whose text
+  /// cannot be rendered (a hostile fact's out-of-range actor) propagates
+  /// to run() uncounted.
+  template <typename Message>
+  bool expect_(bool condition, ClauseKind kind, Subject subject, Side lhs,
+               Side rhs, Message message) {
+    if (!condition) [[unlikely]] {
+      if constexpr (std::is_invocable_v<Message&>) {
+        record_(kind, subject, lhs, rhs, message());
+      } else {
+        record_(kind, subject, lhs, rhs, message);
+      }
     }
+    ++out_.clauses_checked;
     return condition;
   }
 
-  [[nodiscard]] std::string actor_subject_(ActorId v) const {
-    return "actor '" + graph_.actor(v).name + "'";
-  }
-
-  [[nodiscard]] std::string pair_subject_(const PairFact& fact) const {
-    return "buffer '" + graph_.actor(fact.producer).name + " -> " +
-           graph_.actor(fact.consumer).name + "'";
+  [[gnu::cold]] [[gnu::noinline]] void record_(ClauseKind kind,
+                                               const Subject& subject,
+                                               const Side& lhs,
+                                               const Side& rhs,
+                                               std::string message) {
+    out_.violations.push_back({kind, subject.render(graph_), lhs.render(),
+                               rhs.render(), std::move(message)});
   }
 
   [[nodiscard]] const ActorFact& fact_(ActorId v) const {
@@ -152,8 +225,8 @@ class Checker {
   bool check_structure_() {
     const std::size_t n = graph_.actor_count();
     if (!expect_(cert_.actors.size() == n, ClauseKind::Coverage, "certificate",
-                 num(static_cast<std::int64_t>(cert_.actors.size())),
-                 num(static_cast<std::int64_t>(n)),
+                 static_cast<std::int64_t>(cert_.actors.size()),
+                 static_cast<std::int64_t>(n),
                  "certificate must carry exactly one fact per actor")) {
       return false;
     }
@@ -161,14 +234,13 @@ class Checker {
     for (std::size_t i = 0; i < cert_.actors.size(); ++i) {
       const std::size_t idx = cert_.actors[i].actor.index();
       if (!expect_(idx < n, ClauseKind::Coverage, "certificate",
-                   num(static_cast<std::int64_t>(idx)),
-                   num(static_cast<std::int64_t>(n)),
+                   static_cast<std::int64_t>(idx),
+                   static_cast<std::int64_t>(n),
                    "actor fact references an actor outside the graph")) {
         return false;
       }
       if (!expect_(fact_of_[idx] == kNone, ClauseKind::Coverage,
-                   actor_subject_(cert_.actors[i].actor), "", "",
-                   "duplicate actor fact")) {
+                   cert_.actors[i].actor, "", "", "duplicate actor fact")) {
         return false;
       }
       fact_of_[idx] = i;
@@ -185,9 +257,9 @@ class Checker {
                      cert_.constraint_is_source_kind.size() ==
                          cert_.constraints.size(),
                  ClauseKind::Coverage, "certificate",
-                 num(static_cast<std::int64_t>(
-                     cert_.constraint_is_sink_kind.size())),
-                 num(static_cast<std::int64_t>(cert_.constraints.size())),
+                 static_cast<std::int64_t>(
+                     cert_.constraint_is_sink_kind.size()),
+                 static_cast<std::int64_t>(cert_.constraints.size()),
                  "anchor-kind vectors must match the constraint count")) {
       return false;
     }
@@ -195,27 +267,27 @@ class Checker {
     for (std::size_t c = 0; c < cert_.constraints.size(); ++c) {
       const ActorId actor = cert_.constraints[c].actor;
       if (!expect_(actor.index() < n, ClauseKind::Coverage, "certificate",
-                   num(static_cast<std::int64_t>(actor.index())),
-                   num(static_cast<std::int64_t>(n)),
+                   static_cast<std::int64_t>(actor.index()),
+                   static_cast<std::int64_t>(n),
                    "constraint references an actor outside the graph")) {
         return false;
       }
       if (!expect_(constraint_of_[actor.index()] == kNone,
-                   ClauseKind::Coverage, actor_subject_(actor), "", "",
+                   ClauseKind::Coverage, actor, "", "",
                    "duplicate throughput constraint on one actor")) {
         return false;
       }
       constraint_of_[actor.index()] = c;
       expect_(cert_.constraints[c].period.is_positive(), ClauseKind::Phi,
-              actor_subject_(actor), dur(cert_.constraints[c].period),
-              "> 0 s", "throughput period must be positive");
+              actor, cert_.constraints[c].period, "> 0 s",
+              "throughput period must be positive");
     }
 
     const std::vector<dataflow::BufferEdges> buffers = graph_.buffers();
     if (!expect_(cert_.pairs.size() == buffers.size(), ClauseKind::Coverage,
                  "certificate",
-                 num(static_cast<std::int64_t>(cert_.pairs.size())),
-                 num(static_cast<std::int64_t>(buffers.size())),
+                 static_cast<std::int64_t>(cert_.pairs.size()),
+                 static_cast<std::int64_t>(buffers.size()),
                  "certificate must carry exactly one fact per buffer")) {
       return false;
     }
@@ -224,20 +296,20 @@ class Checker {
       const PairFact& fact = cert_.pairs[p];
       if (!expect_(fact.buffer.data.index() < graph_.edge_count(),
                    ClauseKind::Coverage, "certificate",
-                   num(static_cast<std::int64_t>(fact.buffer.data.index())),
-                   num(static_cast<std::int64_t>(graph_.edge_count())),
+                   static_cast<std::int64_t>(fact.buffer.data.index()),
+                   static_cast<std::int64_t>(graph_.edge_count()),
                    "pair fact references an edge outside the graph")) {
         return false;
       }
       const Edge& data = graph_.edge(fact.buffer.data);
       if (!expect_(data.source == fact.producer && data.target == fact.consumer,
-                   ClauseKind::Coverage, pair_subject_(fact), "", "",
+                   ClauseKind::Coverage, fact, "", "",
                    "pair fact endpoints do not match the recorded data "
                    "edge")) {
         return false;
       }
       if (!expect_(pair_at_data[fact.buffer.data.index()] == kNone,
-                   ClauseKind::Coverage, pair_subject_(fact), "", "",
+                   ClauseKind::Coverage, fact, "", "",
                    "duplicate pair fact for one data edge")) {
         return false;
       }
@@ -246,14 +318,16 @@ class Checker {
     for (const dataflow::BufferEdges& buffer : buffers) {
       const std::size_t p = pair_at_data[buffer.data.index()];
       if (!expect_(p != kNone, ClauseKind::Coverage, "certificate", "", "",
-                   "buffer " + graph_.actor(graph_.edge(buffer.data).source)
-                           .name + " -> " +
-                       graph_.actor(graph_.edge(buffer.data).target).name +
-                       " has no pair fact")) {
+                   [&] {
+                     const Edge& data = graph_.edge(buffer.data);
+                     return "buffer " + graph_.actor(data.source).name +
+                            " -> " + graph_.actor(data.target).name +
+                            " has no pair fact";
+                   })) {
         return false;
       }
       expect_(cert_.pairs[p].buffer.space == buffer.space,
-              ClauseKind::Coverage, pair_subject_(cert_.pairs[p]), "", "",
+              ClauseKind::Coverage, cert_.pairs[p], "", "",
               "pair fact records a different space edge than the graph's "
               "buffer pairing");
     }
@@ -263,12 +337,13 @@ class Checker {
       const Edge& data = graph_.edge(fact.buffer.data);
       const bool is_static =
           data.production.is_singleton() && data.consumption.is_singleton();
-      expect_(fact.is_static == is_static, ClauseKind::Coverage,
-              pair_subject_(fact), fact.is_static ? "static" : "variable",
-              is_static ? "static" : "variable",
-              "recorded staticness does not match the edge's rate sets "
-              "(pi=" + data.production.to_string() +
-                  ", gamma=" + data.consumption.to_string() + ")");
+      expect_(fact.is_static == is_static, ClauseKind::Coverage, fact,
+              fact.is_static ? "static" : "variable",
+              is_static ? "static" : "variable", [&] {
+                return "recorded staticness does not match the edge's rate "
+                       "sets (pi=" + data.production.to_string() +
+                       ", gamma=" + data.consumption.to_string() + ")";
+              });
     }
 
     // Skeleton adjacency and the recorded topological order.  Every
@@ -290,9 +365,9 @@ class Checker {
       in_pairs_[fact.consumer.index()].push_back(p);
       order_ok &= expect_(
           order_pos_[fact.producer.index()] < order_pos_[fact.consumer.index()],
-          ClauseKind::Coverage, pair_subject_(fact),
-          num(static_cast<std::int64_t>(order_pos_[fact.producer.index()])),
-          num(static_cast<std::int64_t>(order_pos_[fact.consumer.index()])),
+          ClauseKind::Coverage, fact,
+          static_cast<std::int64_t>(order_pos_[fact.producer.index()]),
+          static_cast<std::int64_t>(order_pos_[fact.consumer.index()]),
           "skeleton data edge goes backward in the recorded topological "
           "order (the claimed skeleton is not acyclic in this order)");
     }
@@ -330,11 +405,11 @@ class Checker {
         }
       }
       expect_(reaches || fact.producer == fact.consumer, ClauseKind::Coverage,
-              pair_subject_(fact), "", "",
+              fact, "", "",
               "pair is recorded as a feedback back-edge but lies on no "
               "directed cycle of the data edges");
       expect_(fact.initial_tokens >= 1, ClauseKind::Coverage,
-              pair_subject_(fact), num(fact.initial_tokens), ">= 1",
+              fact, fact.initial_tokens, ">= 1",
               "a feedback back-edge must carry at least one circulating "
               "initial token");
     }
@@ -360,13 +435,13 @@ class Checker {
       source_kind_[c] = !out_pairs_[idx].empty();
       expect_(cert_.constraint_is_sink_kind[c] == sink_kind_[c],
               ClauseKind::Coverage,
-              actor_subject_(cert_.constraints[c].actor),
+              cert_.constraints[c].actor,
               cert_.constraint_is_sink_kind[c] ? "sink-kind" : "not sink-kind",
               sink_kind_[c] ? "sink-kind" : "not sink-kind",
               "recorded anchor kind does not match the skeleton structure");
       expect_(cert_.constraint_is_source_kind[c] == source_kind_[c],
               ClauseKind::Coverage,
-              actor_subject_(cert_.constraints[c].actor),
+              cert_.constraints[c].actor,
               cert_.constraint_is_source_kind[c] ? "source-kind"
                                                  : "not source-kind",
               source_kind_[c] ? "source-kind" : "not source-kind",
@@ -413,7 +488,7 @@ class Checker {
     for (const ActorFact& fact : cert_.actors) {
       const std::size_t v = fact.actor.index();
       expect_(sink_anchored_[v] || source_reached_[v], ClauseKind::Coverage,
-              actor_subject_(fact.actor), "", "",
+              fact.actor, "", "",
               "actor receives no pacing demand from any throughput "
               "constraint (it neither reaches a sink-kind anchor nor hangs "
               "off a source-kind anchor)");
@@ -431,7 +506,7 @@ class Checker {
       } else if (source_reached_[fact.producer.index()]) {
         expected = ConstraintSide::Source;
       } else if (!fact.is_feedback) {
-        expect_(false, ClauseKind::Coverage, pair_subject_(fact), "", "",
+        expect_(false, ClauseKind::Coverage, fact, "", "",
                 "skeleton edge is paced by no throughput constraint (its "
                 "consumer reaches no sink-kind anchor and its producer "
                 "hangs off no source-kind anchor)");
@@ -439,7 +514,7 @@ class Checker {
         continue;
       }
       side_[p] = expected;
-      expect_(fact.side == expected, ClauseKind::Coverage, pair_subject_(fact),
+      expect_(fact.side == expected, ClauseKind::Coverage, fact,
               fact.side == ConstraintSide::Sink ? "Sink" : "Source",
               expected == ConstraintSide::Sink ? "Sink" : "Source",
               "recorded rate-determining side does not match the anchor "
@@ -460,12 +535,12 @@ class Checker {
       if (is_static) {
         continue;
       }
-      expect_(bridge[p] != 0, ClauseKind::Coverage, pair_subject_(fact), "",
-              "",
-              "data-dependent rates (pi=" + data.production.to_string() +
-                  ", gamma=" + data.consumption.to_string() +
-                  ") off a chain-segment (bridge) edge; sibling branch "
-                  "flows could diverge unboundedly");
+      expect_(bridge[p] != 0, ClauseKind::Coverage, fact, "", "", [&] {
+        return "data-dependent rates (pi=" + data.production.to_string() +
+               ", gamma=" + data.consumption.to_string() +
+               ") off a chain-segment (bridge) edge; sibling branch flows "
+               "could diverge unboundedly";
+      });
     }
 
     // Constraint coupling: variable quanta must stay on *shared* chain
@@ -507,7 +582,7 @@ class Checker {
                  anc_max_sink[x] > sink_count_[x] || src_count_[x] > 0)
               : (src_count_[y] > src_count_[x] ||
                  desc_max_src[y] > src_count_[y]);
-      expect_(!coupled, ClauseKind::Coverage, pair_subject_(fact), "", "",
+      expect_(!coupled, ClauseKind::Coverage, fact, "", "",
               "data-dependent rates on a constraint-coupled path; a "
               "variable realized flow could back-pressure an actor another "
               "constraint depends on and starve it");
@@ -525,16 +600,15 @@ class Checker {
     }
     for (const ActorFact& fact : cert_.actors) {
       expect_(fact.rho == graph_.actor(fact.actor).response_time,
-              ClauseKind::Coverage, actor_subject_(fact.actor),
-              dur(fact.rho), dur(graph_.actor(fact.actor).response_time),
+              ClauseKind::Coverage, fact.actor, fact.rho,
+              graph_.actor(fact.actor).response_time,
               "recorded response time does not match the graph's rho");
     }
     for (const PairFact& fact : cert_.pairs) {
       expect_(fact.initial_tokens ==
                   graph_.edge(fact.buffer.data).initial_tokens,
-              ClauseKind::Coverage, pair_subject_(fact),
-              num(fact.initial_tokens),
-              num(graph_.edge(fact.buffer.data).initial_tokens),
+              ClauseKind::Coverage, fact, fact.initial_tokens,
+              graph_.edge(fact.buffer.data).initial_tokens,
               "recorded initial tokens do not match the graph's delta");
     }
   }
@@ -553,14 +627,13 @@ class Checker {
                    "platform fact references an actor outside the graph")) {
         continue;
       }
-      const std::string subject = actor_subject_(fact.actor);
-      if (!expect_(seen[fact.actor.index()] == 0, ClauseKind::Kappa, subject,
+      if (!expect_(seen[fact.actor.index()] == 0, ClauseKind::Kappa, fact.actor,
                    "", "", "duplicate platform fact for one actor")) {
         continue;
       }
       seen[fact.actor.index()] = 1;
-      if (!expect_(fact.wcet.is_positive(), ClauseKind::Kappa, subject,
-                   dur(fact.wcet), "> 0 s",
+      if (!expect_(fact.wcet.is_positive(), ClauseKind::Kappa, fact.actor,
+                   fact.wcet, "> 0 s",
                    "platform WCET must be positive")) {
         continue;
       }
@@ -569,8 +642,7 @@ class Checker {
       Duration kappa;
       if (tdm) {
         if (!expect_(fact.slot.is_positive() && fact.slot <= fact.wheel,
-                     ClauseKind::Kappa, subject, dur(fact.slot),
-                     dur(fact.wheel),
+                     ClauseKind::Kappa, fact.actor, fact.slot, fact.wheel,
                      "TDM slot must be positive and no larger than the "
                      "wheel period")) {
           continue;
@@ -581,8 +653,8 @@ class Checker {
           const Rational chunks = fact.wcet.seconds() / fact.slot.seconds();
           const bool witness = Rational(fact.ceil_term) >= chunks &&
                                Rational(fact.ceil_term) - Rational(1) < chunks;
-          if (!expect_(witness, ClauseKind::Kappa, subject,
-                       num(fact.ceil_term), chunks.to_string(),
+          if (!expect_(witness, ClauseKind::Kappa, fact.actor, fact.ceil_term,
+                       chunks,
                        "ceil term is not the ceiling of WCET/slot")) {
             continue;
           }
@@ -596,7 +668,7 @@ class Checker {
         }
       } else {
         if (!expect_(fact.total_wcet >= fact.wcet, ClauseKind::Kappa,
-                     subject, dur(fact.total_wcet), dur(fact.wcet),
+                     fact.actor, fact.total_wcet, fact.wcet,
                      "round-robin total WCET must cover the task's own "
                      "WCET")) {
           continue;
@@ -609,13 +681,14 @@ class Checker {
           kappa = fact.total_wcet * Rational(2) - fact.wcet;
         }
       }
-      expect_(fact.kappa == kappa, ClauseKind::Kappa, subject,
-              dur(fact.kappa), dur(kappa),
-              std::string("recorded kappa does not equal the ") +
-                  service_policy_name(fact.policy) +
-                  " bound re-derived from the arbiter terms");
+      expect_(fact.kappa == kappa, ClauseKind::Kappa, fact.actor, fact.kappa,
+              kappa, [&] {
+                return std::string("recorded kappa does not equal the ") +
+                       service_policy_name(fact.policy) +
+                       " bound re-derived from the arbiter terms";
+              });
       expect_(fact.kappa == fact_(fact.actor).rho, ClauseKind::Kappa,
-              subject, dur(fact.kappa), dur(fact_(fact.actor).rho),
+              fact.actor, fact.kappa, fact_(fact.actor).rho,
               "platform kappa does not equal the response time the "
               "capacity clauses ran with");
     }
@@ -625,18 +698,16 @@ class Checker {
 
   void check_phi_() {
     for (const ActorFact& fact : cert_.actors) {
-      expect_(fact.phi.is_positive(), ClauseKind::Phi,
-              actor_subject_(fact.actor), dur(fact.phi), "> 0 s",
-              "pacing witness must be positive");
-      expect_(fact.rho <= fact.phi, ClauseKind::Phi,
-              actor_subject_(fact.actor), dur(fact.rho), dur(fact.phi),
+      expect_(fact.phi.is_positive(), ClauseKind::Phi, fact.actor, fact.phi,
+              "> 0 s", "pacing witness must be positive");
+      expect_(fact.rho <= fact.phi, ClauseKind::Phi, fact.actor, fact.rho,
+              fact.phi,
               "response time exceeds the pacing witness; no valid schedule "
               "exists at the required rate");
     }
     for (const ThroughputConstraint& c : cert_.constraints) {
-      expect_(fact_(c.actor).phi == c.period, ClauseKind::Phi,
-              actor_subject_(c.actor), dur(fact_(c.actor).phi),
-              dur(c.period),
+      expect_(fact_(c.actor).phi == c.period, ClauseKind::Phi, c.actor,
+              fact_(c.actor).phi, c.period,
               "a constrained actor's pacing witness must equal its period");
     }
     for (std::size_t p = 0; p < cert_.pairs.size(); ++p) {
@@ -647,19 +718,18 @@ class Checker {
       if (fact.is_feedback) {
         // Cycle flow balance: tokens produced per second must equal
         // tokens consumed per second (rates on cycle edges are static).
-        expect_(phi_c * Rational(data.production.min()) ==
-                    phi_p * Rational(data.consumption.min()),
-                ClauseKind::Phi, pair_subject_(fact),
-                dur(phi_c * Rational(data.production.min())),
-                dur(phi_p * Rational(data.consumption.min())),
+        const Duration produced = phi_c * Rational(data.production.min());
+        const Duration consumed = phi_p * Rational(data.consumption.min());
+        expect_(produced == consumed, ClauseKind::Phi, fact, produced,
+                consumed,
                 "back-edge rates are flow-inconsistent with the pacing "
                 "witnesses; the cycle's circulating token count would "
                 "drift");
         continue;
       }
       if (side_[p] == ConstraintSide::Sink) {
-        if (!expect_(data.production.min() >= 1, ClauseKind::Phi,
-                     pair_subject_(fact), num(data.production.min()), ">= 1",
+        if (!expect_(data.production.min() >= 1, ClauseKind::Phi, fact,
+                     data.production.min(), ">= 1",
                      "minimum production quantum is zero on a "
                      "sink-determined edge; the producer cannot sustain "
                      "the consumer's maximum rate")) {
@@ -667,14 +737,12 @@ class Checker {
         }
         const Duration demand =
             phi_c * Rational(data.production.min(), data.consumption.max());
-        expect_(phi_p == demand, ClauseKind::Phi, pair_subject_(fact),
-                dur(phi_p), dur(demand),
+        expect_(phi_p == demand, ClauseKind::Phi, fact, phi_p, demand,
                 "producer pacing witness does not equal the sink-side "
                 "demand phi(consumer) * pi_min / gamma_max");
       } else {
-        if (!expect_(data.consumption.min() >= 1, ClauseKind::Phi,
-                     pair_subject_(fact), num(data.consumption.min()),
-                     ">= 1",
+        if (!expect_(data.consumption.min() >= 1, ClauseKind::Phi, fact,
+                     data.consumption.min(), ">= 1",
                      "minimum consumption quantum is zero on a "
                      "source-determined edge; the consumer cannot keep up "
                      "with the source's maximum rate")) {
@@ -682,8 +750,7 @@ class Checker {
         }
         const Duration demand =
             phi_p * Rational(data.consumption.min(), data.production.max());
-        expect_(phi_c == demand, ClauseKind::Phi, pair_subject_(fact),
-                dur(phi_c), dur(demand),
+        expect_(phi_c == demand, ClauseKind::Phi, fact, phi_c, demand,
                 "consumer pacing witness does not equal the source-side "
                 "demand phi(producer) * gamma_min / pi_max");
       }
@@ -701,8 +768,8 @@ class Checker {
       const std::size_t c = constraint_of_[v];
       if (sink_anchored_[v]) {
         if (c != kNone && sink_kind_[c]) {
-          expect_(fact.lead.is_zero(), ClauseKind::Omega,
-                  actor_subject_(fact.actor), dur(fact.lead), "0 s",
+          expect_(fact.lead.is_zero(), ClauseKind::Omega, fact.actor,
+                  fact.lead, "0 s",
                   "a sink-kind anchor's alignment lead must be zero");
           continue;
         }
@@ -721,15 +788,15 @@ class Checker {
           longest = std::max(longest, candidate);
         }
         const Duration expected = fact.rho + longest;
-        expect_(fact.lead == expected, ClauseKind::Omega,
-                actor_subject_(fact.actor), dur(fact.lead), dur(expected),
+        expect_(fact.lead == expected, ClauseKind::Omega, fact.actor,
+                fact.lead, expected,
                 "alignment lead does not satisfy the sink-region "
                 "longest-path equation omega = rho + max(omega(consumer) + "
                 "s*(pi_max-1))");
       } else {
         if (c != kNone && source_kind_[c]) {
-          expect_(fact.lead.is_zero(), ClauseKind::Omega,
-                  actor_subject_(fact.actor), dur(fact.lead), "0 s",
+          expect_(fact.lead.is_zero(), ClauseKind::Omega, fact.actor,
+                  fact.lead, "0 s",
                   "a source-kind anchor's alignment lead must be zero");
           continue;
         }
@@ -747,8 +814,8 @@ class Checker {
               rate * Rational(data.production.max() - 1);
           longest = std::max(longest, candidate);
         }
-        expect_(fact.lead == longest, ClauseKind::Omega,
-                actor_subject_(fact.actor), dur(fact.lead), dur(longest),
+        expect_(fact.lead == longest, ClauseKind::Omega, fact.actor,
+                fact.lead, longest,
                 "alignment lead does not satisfy the source-region "
                 "longest-path equation omega = max(omega(producer) + "
                 "rho(producer) + s*(pi_max-1))");
@@ -773,8 +840,7 @@ class Checker {
           sink_side ? fact_(fact.consumer).phi : fact_(fact.producer).phi;
       const Duration rate =
           basis / Rational(sink_side ? gamma_max : pi_max);
-      if (!expect_(rate.is_positive(), ClauseKind::Zeta, pair_subject_(fact),
-                   dur(rate), "> 0 s",
+      if (!expect_(rate.is_positive(), ClauseKind::Zeta, fact, rate, "> 0 s",
                    "non-positive bound rate; the per-token linear bounds "
                    "are degenerate")) {
         continue;  // the divisions below would be meaningless
@@ -785,19 +851,17 @@ class Checker {
           fact_(fact.producer).rho + rate * Rational(pi_max - 1);
       const Duration delta_producer = std::max(gap, chain_local);
       expect_(fact.delta_producer == delta_producer, ClauseKind::Zeta,
-              pair_subject_(fact), dur(fact.delta_producer),
-              dur(delta_producer),
+              fact, fact.delta_producer, delta_producer,
               "producer slack does not equal max(alignment gap, rho + "
               "s*(pi_max-1))");
       const Duration delta_consumer =
           fact_(fact.consumer).rho + rate * Rational(gamma_max - 1);
       expect_(fact.delta_consumer == delta_consumer, ClauseKind::Zeta,
-              pair_subject_(fact), dur(fact.delta_consumer),
-              dur(delta_consumer),
+              fact, fact.delta_consumer, delta_consumer,
               "consumer slack does not equal rho + s*(gamma_max-1)");
       const Rational raw = (delta_producer + delta_consumer) / rate;
-      expect_(fact.raw_tokens == raw, ClauseKind::Zeta, pair_subject_(fact),
-              fact.raw_tokens.to_string(), raw.to_string(),
+      expect_(fact.raw_tokens == raw, ClauseKind::Zeta, fact,
+              fact.raw_tokens, raw,
               "raw token count does not equal (delta_producer + "
               "delta_consumer) / s");
 
@@ -810,8 +874,8 @@ class Checker {
       const bool tight =
           is_static && !fact.is_feedback && c != kNone &&
           (sink_side ? sink_kind_[c] : source_kind_[c]);
-      expect_(fact.tight_rounding == tight, ClauseKind::Zeta,
-              pair_subject_(fact), fact.tight_rounding ? "tight" : "padded",
+      expect_(fact.tight_rounding == tight, ClauseKind::Zeta, fact,
+              fact.tight_rounding ? "tight" : "padded",
               tight ? "tight" : "padded",
               "recorded tight-rounding claim does not match the "
               "static-and-adjacent-to-anchor predicate");
@@ -840,30 +904,29 @@ class Checker {
              rate)
                 .ceil();
         expect_(fact.required_initial_tokens == required, ClauseKind::Delta,
-                pair_subject_(fact), num(fact.required_initial_tokens),
-                num(required),
+                fact, fact.required_initial_tokens, required,
                 "recorded cycle token requirement does not equal the "
                 "schedule-aligned max-cycle-ratio bound");
         expect_(fact.initial_tokens >= required, ClauseKind::Delta,
-                pair_subject_(fact), num(fact.initial_tokens), num(required),
+                fact, fact.initial_tokens, required,
                 "circulating initial tokens fall short of the cycle's "
                 "max-cycle-ratio requirement; the period cannot be "
                 "sustained");
       } else {
         expect_(fact.required_initial_tokens == 0, ClauseKind::Delta,
-                pair_subject_(fact), num(fact.required_initial_tokens), "0",
+                fact, fact.required_initial_tokens, "0",
                 "skeleton pairs have no cycle token requirement");
       }
 
       const std::int64_t capacity = checked_add(rounded, fact.initial_tokens);
       expect_(fact.capacity == capacity, ClauseKind::Zeta,
-              pair_subject_(fact), num(fact.capacity), num(capacity),
+              fact, fact.capacity, capacity,
               "capacity does not equal the rounded slack plus the initial "
               "tokens");
       total = checked_add(total, fact.capacity);
     }
     expect_(cert_.total_capacity == total, ClauseKind::Zeta, "certificate",
-            num(cert_.total_capacity), num(total),
+            cert_.total_capacity, total,
             "total capacity does not equal the sum of the pair "
             "capacities");
   }

@@ -11,7 +11,10 @@
 //    ride along in the JSON so the speedup is attributable, not inferred;
 //  - BM_AdmissionServiceLoop: sustained queries/sec of a long-lived
 //    AdmissionController serving a retune / admit / remove / period-move
-//    mix, every decision checked and rolled back on rejection.
+//    mix, every decision checked and rolled back on rejection;
+//  - BM_AdmissionServiceLoopCertified: the same loop on a controller
+//    with set_require_certificate(true), so every decision's candidate
+//    is also certified and re-validated by the independent checker.
 #include <benchmark/benchmark.h>
 
 #include "analysis/admission.hpp"
@@ -110,7 +113,7 @@ void BM_RetuneIncrementalMidChain(benchmark::State& state) {
 }
 BENCHMARK(BM_RetuneIncrementalMidChain)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_AdmissionServiceLoop(benchmark::State& state) {
+void run_admission_service_loop(benchmark::State& state, bool certified) {
   // Sustained decision rate of a live controller on a 16-actor chain:
   // retune a mid-chain codec down and back, admit a second stream at an
   // interior actor's own rate, stop it again — every fourth decision
@@ -128,6 +131,7 @@ void BM_AdmissionServiceLoop(benchmark::State& state) {
   const analysis::TopologySnapshot snapshot(chain.graph);
   analysis::AdmissionController controller(
       snapshot, analysis::ConstraintSet{chain.constraint});
+  controller.set_require_certificate(certified);
   const std::vector<dataflow::ActorId>& order = snapshot.view().actors;
   const dataflow::ActorId codec = order[order.size() / 2];
   const dataflow::ActorId stream_actor = order[order.size() / 4];
@@ -166,6 +170,15 @@ void BM_AdmissionServiceLoop(benchmark::State& state) {
   state.counters["accepted"] = static_cast<double>(accepted);
   export_engine_counters(state, controller.engine().stats());
 }
+
+void BM_AdmissionServiceLoop(benchmark::State& state) {
+  run_admission_service_loop(state, /*certified=*/false);
+}
 BENCHMARK(BM_AdmissionServiceLoop);
+
+void BM_AdmissionServiceLoopCertified(benchmark::State& state) {
+  run_admission_service_loop(state, /*certified=*/true);
+}
+BENCHMARK(BM_AdmissionServiceLoopCertified);
 
 }  // namespace

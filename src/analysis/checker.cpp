@@ -30,13 +30,13 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// What a clause is about: the certificate as a whole ("certificate"),
 /// one actor, or one buffer named by its recorded endpoints.  Held as
-/// ids and rendered only when the clause fails.
+/// ids and rendered only when the clause fails.  The constructors are
+/// implicit so that clauses pass the raw value.
 class Subject {
  public:
-  Subject(const char* text) : text_(text) {}  // NOLINT: implicit by design
-  Subject(ActorId actor)                       // NOLINT: implicit by design
-      : kind_(Kind::Actor), producer_(actor) {}
-  Subject(const PairFact& pair)  // NOLINT: implicit by design
+  Subject(const char* text) : text_(text) {}
+  Subject(ActorId actor) : kind_(Kind::Actor), producer_(actor) {}
+  Subject(const PairFact& pair)
       : kind_(Kind::Buffer), producer_(pair.producer),
         consumer_(pair.consumer) {}
 
@@ -64,17 +64,14 @@ class Subject {
 /// One side of a clause's (in)equality: a duration ("p/q s"), an exact
 /// number ("p/q" or "p"), or fixed text ("> 0 s", "static", ...); empty
 /// by default, for structural facts.  Held by value and rendered only
-/// when the clause fails.
+/// when the clause fails.  Implicit constructors, as for Subject.
 class Side {
  public:
   Side() = default;
-  Side(const char* text) : text_(text) {}  // NOLINT: implicit by design
-  Side(const Duration& d)                  // NOLINT: implicit by design
-      : kind_(Kind::Seconds), value_(d.seconds()) {}
-  Side(const Rational& r)  // NOLINT: implicit by design
-      : kind_(Kind::Number), value_(r) {}
-  Side(std::int64_t n)  // NOLINT: implicit by design
-      : kind_(Kind::Number), value_(n) {}
+  Side(const char* text) : text_(text) {}
+  Side(const Duration& d) : kind_(Kind::Seconds), value_(d.seconds()) {}
+  Side(const Rational& r) : kind_(Kind::Number), value_(r) {}
+  Side(std::int64_t n) : kind_(Kind::Number), value_(n) {}
 
   [[nodiscard]] std::string render() const {
     switch (kind_) {

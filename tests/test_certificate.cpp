@@ -41,6 +41,7 @@ using analysis::ConstraintSide;
 using analysis::GraphAnalysis;
 using analysis::ThroughputConstraint;
 using dataflow::ActorId;
+using dataflow::RateSet;
 
 // True when some violation matches the expected clause family and its
 // subject mentions `where` (an actor or edge name; empty = any subject).
@@ -352,6 +353,17 @@ TEST(CertificateMutations, EveryClauseFamilyIsDetectedAndNamed) {
        1, 17,
        "coverage clause violated at buffer 'vMP3 -> vBR': pair fact endpoints "
        "do not match the recorded data edge"},
+      {"pair fact pointed at its buffer's space edge", ClauseKind::Coverage,
+       "",
+       [](Certificate& c) {
+         // Reversed endpoints match the space edge, so the pair passes
+         // the endpoint check and its data edge is left without a fact.
+         std::swap(c.pairs[0].producer, c.pairs[0].consumer);
+         c.pairs[0].buffer.data = c.pairs[0].buffer.space;
+       },
+       1, 25,
+       "coverage clause violated at certificate: buffer vBR -> vMP3 has no "
+       "pair fact"},
       {"duplicate actor fact", ClauseKind::Coverage, "",
        [](Certificate& c) { c.actors[0].actor = c.actors[1].actor; },
        1, 5,
@@ -543,6 +555,62 @@ TEST(CertificateMutations, MultiViolationDiagnosesRenderEveryClauseExactly) {
       "equal the rounded slack plus the initial tokens (3263 vs 3262)",
   };
   EXPECT_EQ(diagnoses(repointed), repointed_expected);
+}
+
+// Variable rates on a reconvergent (non-bridge) edge: a diamond's
+// certificate, checked against the same diamond with one branch made
+// data-dependent.  The placement clause names the edge and its rate sets.
+TEST(CertificateMutations, VariableRatesOffABridgeAreNamedWithTheirRateSets) {
+  const auto diamond = [](const RateSet& branch_consumption) {
+    dataflow::VrdfGraph g;
+    const Duration rho = milliseconds(Rational(1, 10));
+    const ActorId a = g.add_actor("a", rho);
+    const ActorId b = g.add_actor("b", rho);
+    const ActorId c = g.add_actor("c", rho);
+    const ActorId d = g.add_actor("d", rho);
+    (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
+    (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
+    (void)g.add_buffer(b, d, RateSet::singleton(1), branch_consumption);
+    (void)g.add_buffer(c, d, RateSet::singleton(1), RateSet::singleton(1));
+    return g;
+  };
+  const dataflow::VrdfGraph fixed = diamond(RateSet::singleton(1));
+  const ThroughputConstraint sink{*fixed.find_actor("d"),
+                                  milliseconds(Rational(1))};
+  const GraphAnalysis sized =
+      analysis::compute_buffer_capacities(fixed, analysis::ConstraintSet{sink});
+  ASSERT_TRUE(sized.admissible);
+  const Certificate cert = analysis::make_certificate(fixed, sized);
+  ASSERT_TRUE(analysis::check_certificate(fixed, cert).ok);
+
+  const CertificateCheck check = analysis::check_certificate(
+      diamond(RateSet::interval(1, 2)), cert);
+  std::vector<std::string> got;
+  for (const ClauseViolation& violation : check.violations) {
+    got.push_back(describe(violation));
+  }
+  const std::vector<std::string> expected = {
+      "coverage clause violated at buffer 'b -> d': recorded staticness "
+      "does not match the edge's rate sets (pi={1}, gamma=[1,2]) (static "
+      "vs variable)",
+      "coverage clause violated at buffer 'b -> d': data-dependent rates "
+      "(pi={1}, gamma=[1,2]) off a chain-segment (bridge) edge; sibling "
+      "branch flows could diverge unboundedly",
+      "phi clause violated at buffer 'b -> d': producer pacing witness does "
+      "not equal the sink-side demand phi(consumer) * pi_min / gamma_max "
+      "(1/1000 s vs 1/2000 s)",
+      "zeta clause violated at buffer 'b -> d': consumer slack does not "
+      "equal rho + s*(gamma_max-1) (1/10000 s vs 3/5000 s)",
+      "zeta clause violated at buffer 'b -> d': raw token count does not "
+      "equal (delta_producer + delta_consumer) / s (1/5 vs 7/5)",
+      "zeta clause violated at buffer 'b -> d': recorded tight-rounding "
+      "claim does not match the static-and-adjacent-to-anchor predicate "
+      "(tight vs padded)",
+      "zeta clause violated at buffer 'b -> d': capacity does not equal the "
+      "rounded slack plus the initial tokens (1 vs 2)",
+  };
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(check.clauses_checked, 113u);
 }
 
 // Exhaustive single-field sweep: EVERY numeric witness field of every

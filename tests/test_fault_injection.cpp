@@ -447,6 +447,239 @@ TEST(Robustness, ReportContainsTheMarginsSection) {
   EXPECT_NE(csv.find("buffer,required,installed,headroom"), std::string::npos);
 }
 
+// The margins themselves, byte for byte: margins_to_csv (ρ, φ, margin per
+// actor; required, installed and headroom per buffer) plus the verdict,
+// the joint safe fraction and the diagnostics.  The expected text was
+// generated by a search that re-analysed a modified copy of the graph
+// for every probe, so any drift in a probe's verdict shows up here.
+std::string render_margins(const RobustnessReport& report,
+                           const VrdfGraph& graph) {
+  std::string text = io::margins_to_csv(report, graph);
+  text += std::string("ok=") + (report.ok ? "1" : "0") +
+          " joint=" + report.joint_safe_fraction.to_string() + "\n";
+  for (const std::string& diagnostic : report.diagnostics) {
+    text += "diagnostic: " + diagnostic + "\n";
+  }
+  return text;
+}
+
+// Every generator class at seed 5 with one container of headroom; the
+// source-constrained form for the classes that have one
+// (MultiConstraint and InteriorPinned ignore the flag).
+TEST(Robustness, MarginsArePinnedOnEveryClass) {
+  struct Expected {
+    ModelClass model_class;
+    bool source_constrained;
+    const char* text;
+  };
+  const Expected cases[] = {
+      {ModelClass::Chain, false,
+       R"(actor,rho_s,phi_s,margin_s
+t0,3/88000,3/44000,3/88000
+t1,3/8000,3/4000,69/512000
+t2,1/2000,1/1000,47/128000
+t3,1/2000,1/1000,51/128000
+buffer,required,installed,headroom
+t0->t1,17,18,1
+t1->t2,18,19,1
+t2->t3,19,20,1
+ok=1 joint=21/64
+)"},
+      {ModelClass::ForkJoin, false,
+       R"(actor,rho_s,phi_s,margin_s
+src,3/4000,3/2000,93/256000
+s0_b2_0,1/4000,1/2000,1/4000
+s0_b2_1,1/8000,1/4000,1/8000
+s0_b1_0,3/4000,3/2000,93/256000
+s0_b0_0,1/8000,1/4000,1/8000
+s0_join,1/4000,1/2000,1/4000
+post_0,3/8000,3/4000,189/512000
+snk,1/2000,1/1000,3/8000
+buffer,required,installed,headroom
+src->s0_b0_0,17,18,1
+src->s0_b1_0,17,18,1
+src->s0_b2_0,16,17,1
+s0_b2_0->s0_b2_1,3,4,1
+s0_b2_1->s0_join,3,4,1
+s0_b1_0->s0_join,11,12,1
+s0_b0_0->s0_join,3,4,1
+s0_join->post_0,6,7,1
+post_0->snk,9,10,1
+ok=1 joint=17/64
+)"},
+      {ModelClass::Cyclic, false,
+       R"(actor,rho_s,phi_s,margin_s
+src,3/4000,3/2000,93/256000
+s0_b2_0,1/4000,1/2000,1/4000
+s0_b2_1,1/8000,1/4000,1/8000
+s0_b1_0,3/4000,3/2000,93/256000
+s0_b0_0,1/8000,1/4000,1/8000
+s0_join,1/4000,1/2000,1/4000
+post_0,3/8000,3/4000,189/512000
+snk,1/2000,1/1000,3/8000
+buffer,required,installed,headroom
+src->s0_b0_0,17,18,1
+src->s0_b1_0,17,18,1
+src->s0_b2_0,16,17,1
+s0_b2_0->s0_b2_1,3,4,1
+s0_b2_1->s0_join,3,4,1
+s0_b1_0->s0_join,11,12,1
+s0_b0_0->s0_join,3,4,1
+s0_join->post_0,6,7,1
+s0_join->src,46,47,1
+post_0->snk,9,10,1
+ok=1 joint=17/64
+)"},
+      {ModelClass::MultiConstraint, false,
+       R"(actor,rho_s,phi_s,margin_s
+src,3/1000,3/500,63/64000
+snk1,1/2000,1/1000,1/2000
+snk0,3/1000,3/500,63/64000
+buffer,required,installed,headroom
+src->snk0,16,17,1
+src->snk1,9,10,1
+ok=1 joint=5/32
+)"},
+      {ModelClass::InteriorPinned, false,
+       R"(actor,rho_s,phi_s,margin_s
+u0,3/2000,3/1000,93/128000
+u1,1/4000,1/2000,1/4000
+pin,1/2000,1/1000,1/2000
+d0,3/2000,3/1000,93/128000
+d1,1/4000,1/2000,1/4000
+buffer,required,installed,headroom
+u0->u1,10,11,1
+u1->pin,3,4,1
+pin->d0,21,22,1
+d0->d1,24,25,1
+ok=1 joint=27/64
+)"},
+      {ModelClass::Chain, true,
+       R"(actor,rho_s,phi_s,margin_s
+t0,1/2000,1/1000,1/2000
+t1,1/1000,1/500,1/1000
+t2,1/3000,1/1500,1/16000
+t3,1/5625,2/5625,23/360000
+buffer,required,installed,headroom
+t0->t1,12,13,1
+t1->t2,14,15,1
+t2->t3,41,42,1
+ok=1 joint=1/8
+)"},
+      {ModelClass::ForkJoin, true,
+       R"(actor,rho_s,phi_s,margin_s
+src,1/2000,1/1000,21/128000
+s0_b2_0,1/6000,1/3000,1/6000
+s0_b2_1,1/12000,1/6000,1/12000
+s0_b1_0,1/2000,1/1000,21/128000
+s0_b0_0,1/12000,1/6000,1/12000
+s0_join,1/6000,1/3000,1/6000
+post_0,1/4000,1/2000,63/256000
+snk,1/6000,1/3000,1/6000
+buffer,required,installed,headroom
+src->s0_b0_0,9,10,1
+src->s0_b1_0,16,17,1
+src->s0_b2_0,10,11,1
+s0_b2_0->s0_b2_1,3,4,1
+s0_b2_1->s0_join,9,10,1
+s0_b1_0->s0_join,11,12,1
+s0_b0_0->s0_join,11,12,1
+s0_join->post_0,10,11,1
+post_0->snk,17,18,1
+ok=1 joint=5/32
+)"},
+      {ModelClass::Cyclic, true,
+       R"(actor,rho_s,phi_s,margin_s
+src,1/2000,1/1000,21/128000
+s0_b2_0,1/6000,1/3000,1/6000
+s0_b2_1,1/12000,1/6000,1/12000
+s0_b1_0,1/2000,1/1000,21/128000
+s0_b0_0,1/12000,1/6000,1/12000
+s0_join,1/6000,1/3000,1/6000
+post_0,1/4000,1/2000,63/256000
+snk,1/6000,1/3000,1/6000
+buffer,required,installed,headroom
+src->s0_b0_0,9,10,1
+src->s0_b1_0,16,17,1
+src->s0_b2_0,10,11,1
+s0_b2_0->s0_b2_1,3,4,1
+s0_b2_1->s0_join,9,10,1
+s0_b1_0->s0_join,11,12,1
+s0_b0_0->s0_join,11,12,1
+s0_join->post_0,10,11,1
+s0_join->src,46,47,1
+post_0->snk,17,18,1
+ok=1 joint=5/32
+)"},
+  };
+  for (const Expected& expected : cases) {
+    SCOPED_TRACE(std::string(class_name(expected.model_class)) +
+                 (expected.source_constrained ? " source" : " sink"));
+    RandomModelSpec spec;
+    spec.model_class = expected.model_class;
+    spec.seed = 5;
+    spec.capacity_headroom = 1;
+    spec.source_constrained = expected.source_constrained;
+    const SyntheticModel model = make_random_model(spec);
+    EXPECT_EQ(render_margins(analysis::robustness_margins(model.graph,
+                                                          model.constraints),
+                             model.graph),
+              expected.text);
+  }
+}
+
+// The tight and undersized models of the tests above: zero slack gives
+// zero margins and a vacuous joint fraction of 1; a stolen container
+// gives zero margins, ok=0 and the diagnostic naming the buffer.
+TEST(Robustness, MarginsArePinnedOnTightAndUndersizedModels) {
+  RandomModelSpec tight;
+  tight.model_class = ModelClass::Chain;
+  tight.seed = 3;
+  tight.response_fraction = Rational(1);
+  const SyntheticModel tight_model = make_random_model(tight);
+  EXPECT_EQ(render_margins(analysis::robustness_margins(
+                               tight_model.graph, tight_model.constraints),
+                           tight_model.graph),
+            R"(actor,rho_s,phi_s,margin_s
+t0,3/17500,3/17500,0
+t1,9/35000,9/35000,0
+t2,3/10000,3/10000,0
+t3,1/1000,1/1000,0
+buffer,required,installed,headroom
+t0->t1,19,19,0
+t1->t2,25,25,0
+t2->t3,24,24,0
+ok=1 joint=1
+)");
+
+  RandomModelSpec undersized;
+  undersized.model_class = ModelClass::Chain;
+  undersized.seed = 9;
+  SyntheticModel model = make_random_model(undersized);
+  const analysis::GraphAnalysis analysis =
+      analysis::compute_buffer_capacities(model.graph, model.constraints);
+  ASSERT_TRUE(analysis.admissible);
+  const dataflow::EdgeId space = analysis.pairs.front().buffer.space;
+  model.graph.set_initial_tokens(space,
+                                 model.graph.edge(space).initial_tokens - 1);
+  EXPECT_EQ(
+      render_margins(
+          analysis::robustness_margins(model.graph, model.constraints),
+          model.graph),
+      R"(actor,rho_s,phi_s,margin_s
+t0,1/52500,1/26250,0
+t1,1/30000,1/15000,0
+t2,1/2000,1/1000,0
+t3,1/2000,1/1000,0
+buffer,required,installed,headroom
+t0->t1,32,31,-1
+t1->t2,37,37,0
+t2->t3,20,20,0
+ok=0 joint=0
+diagnostic: installed capacity of buffer t0->t1 (31) is below the analysed requirement (32)
+)");
+}
+
 // ---------------------------------------------------------- Randomized sweep
 
 constexpr std::uint64_t kSweepSeeds = 40;

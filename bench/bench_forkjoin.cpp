@@ -1,7 +1,9 @@
 // Fork-join benchmarks: the per-edge analysis pipeline (pacing +
 // schedule-alignment + capacities) versus graph size, and simulator
 // throughput on fork-join topologies (the join actors exercise the
-// multi-input enabling path that chains never hit).
+// multi-input enabling path that chains never hit).  Compiled into
+// bench_perf (no own main) so the `bench` target's BENCH_PR<N>.json
+// captures the series.
 #include <benchmark/benchmark.h>
 
 #include "analysis/buffer_sizing.hpp"
@@ -85,5 +87,3 @@ void BM_VerifyAvPipeline(benchmark::State& state) {
 BENCHMARK(BM_VerifyAvPipeline);
 
 }  // namespace
-
-BENCHMARK_MAIN();

@@ -1,6 +1,10 @@
 // Robustness-layer performance (PR 6).  Compiled into bench_perf (no own
 // main) so the `bench` target's BENCH_PR<N>.json captures the series:
-//  - BM_RobustnessMargins: per-actor margin + headroom search cost;
+//  - BM_RobustnessMargins: per-actor margin + headroom search cost on a
+//    random chain of 2-16 actors;
+//  - BM_RobustnessMarginsFleet: the same search on the models a faulted
+//    fleet sweep serves, one series per (class, constraint placement)
+//    cell, cycling over the cell's first 16 items;
 //  - BM_SimulatorFiringsFaulted: the hot loop with a fault plan attached,
 //    for comparison with BM_SimulatorFirings (the guard on the unfaulted
 //    path is a single branch, so the two must stay within noise of each
@@ -9,10 +13,14 @@
 //    monitor recording every firing.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/buffer_sizing.hpp"
 #include "analysis/robustness.hpp"
 #include "models/synthetic.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/fleet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/verify.hpp"
 
@@ -33,6 +41,49 @@ void BM_RobustnessMargins(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_RobustnessMargins)->RangeMultiplier(2)->Range(2, 16);
+
+void BM_RobustnessMarginsFleet(benchmark::State& state) {
+  sim::SweepSpec spec;
+  spec.classes = {static_cast<models::ModelClass>(state.range(0))};
+  spec.modes = {state.range(1) != 0 ? sim::ConstraintMode::Source
+                                    : sim::ConstraintMode::Sink};
+  spec.seeds_per_class = 16;
+  const sim::FleetSweep sweep(spec);
+  std::vector<models::SyntheticModel> fleet_models;
+  for (const sim::FleetItem& item : sweep.items()) {
+    models::RandomModelSpec random;
+    random.model_class = item.model_class;
+    random.seed = item.rng_seed;
+    random.response_fraction = spec.response_fraction;
+    random.variable_percent = spec.variable_percent;
+    random.zero_percent = spec.zero_percent;
+    random.source_constrained = item.mode == sim::ConstraintMode::Source;
+    fleet_models.push_back(models::make_random_model(random));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const models::SyntheticModel& model = fleet_models[next];
+    next = (next + 1) % fleet_models.size();
+    const analysis::RobustnessReport report =
+        analysis::robustness_margins(model.graph, model.constraints);
+    benchmark::DoNotOptimize(report.ok);
+  }
+  std::string label = models::class_name(spec.classes.front());
+  label += state.range(1) != 0 ? "/source" : "/sink";
+  state.SetLabel(label);
+}
+// The eight cells a fleet sweep serves: every class sink-constrained,
+// plus the source-constrained form of chain, fork_join and cyclic.
+BENCHMARK(BM_RobustnessMarginsFleet)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int model_class = 0; model_class < 5; ++model_class) {
+        b->Args({model_class, 0});
+      }
+      for (int model_class = 0; model_class < 3; ++model_class) {
+        b->Args({model_class, 1});
+      }
+    })
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SimulatorFiringsFaulted(benchmark::State& state) {
   // The BM_SimulatorFirings fixture with a bursty-jitter plan on both

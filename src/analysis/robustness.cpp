@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "analysis/incremental.hpp"
+#include "analysis/snapshot.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -11,19 +13,16 @@ using dataflow::ActorId;
 
 namespace {
 
-/// True when the analysis of `probe` is admissible and every pair fits
-/// the capacities installed in `probe` (only response times differ from
-/// the caller's graph, so these are the original installed capacities).
-[[nodiscard]] bool fits_installed(const dataflow::VrdfGraph& probe,
-                                  const ConstraintSet& constraints,
-                                  const AnalysisOptions& options) {
-  const GraphAnalysis analysis =
-      compute_buffer_capacities(probe, constraints, options);
+/// True when `analysis` is admissible and every pair fits the capacities
+/// installed in `graph` (the probes vary only response times, so these
+/// are the caller's installed capacities).
+[[nodiscard]] bool fits_installed(const GraphAnalysis& analysis,
+                                  const dataflow::VrdfGraph& graph) {
   if (!analysis.admissible) {
     return false;
   }
   for (const PairAnalysis& pair : analysis.pairs) {
-    if (pair.capacity > probe.buffer_capacity(pair.buffer)) {
+    if (pair.capacity > graph.buffer_capacity(pair.buffer)) {
       return false;
     }
   }
@@ -56,8 +55,14 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
   RobustnessReport report;
   report.constraints = constraints;
 
-  const GraphAnalysis baseline =
-      compute_buffer_capacities(graph, constraints, options.analysis);
+  // Every probe varies only response times, so the structure is captured
+  // once: per-actor probes are engine retunes, joint probes one overlay
+  // analysis each on the same snapshot.
+  const TopologySnapshot snapshot(graph);
+  IncrementalAnalysis engine(snapshot, constraints, options.analysis);
+  // The engine's current analysis: the baseline only until the first
+  // probe retunes the engine.
+  const GraphAnalysis& baseline = engine.analysis();
   if (!baseline.admissible) {
     report.diagnostics = baseline.diagnostics;
     report.diagnostics.push_back(
@@ -90,63 +95,52 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
     report.buffers.push_back(headroom);
   }
 
-  const ResponseTimeBudget budget =
-      max_admissible_response_times(graph, constraints);
-  if (!budget.ok) {
-    report.diagnostics.insert(report.diagnostics.end(),
-                              budget.diagnostics.begin(),
-                              budget.diagnostics.end());
-    return report;
+  // φ(v) is the baseline's pacing witness, the maximal admissible ρ(v).
+  report.actors.reserve(baseline.actors_in_order.size());
+  for (std::size_t i = 0; i < baseline.actors_in_order.size(); ++i) {
+    const ActorId v = baseline.actors_in_order[i];
+    report.actors.push_back(ActorMargin{v, graph.actor(v).response_time,
+                                        baseline.pacing[i], Duration()});
   }
   if (!installed_ok) {
     // Report zero margins (honest: nothing extra is tolerable) but keep
     // ok=false so callers do not inject "within-margin" faults.
-    for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
-      report.actors.push_back(ActorMargin{
-          budget.actors_in_order[i],
-          graph.actor(budget.actors_in_order[i]).response_time,
-          budget.max_response_times[i], Duration()});
-    }
     return report;
   }
 
   const std::int64_t grid = options.grid_steps;
-  report.actors.reserve(budget.actors_in_order.size());
-  for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
-    const ActorId v = budget.actors_in_order[i];
-    ActorMargin margin;
-    margin.actor = v;
-    margin.response_time = graph.actor(v).response_time;
-    margin.max_response_time = budget.max_response_times[i];
+  for (ActorMargin& margin : report.actors) {
     const Duration slack = margin.max_response_time - margin.response_time;
     if (slack.is_positive()) {
-      dataflow::VrdfGraph probe = graph;
       const std::int64_t best = max_true(grid, [&](std::int64_t k) {
-        probe.set_response_time(
-            v, margin.response_time + slack * Rational(k, grid));
-        return fits_installed(probe, constraints, options.analysis);
+        engine.retune(margin.actor,
+                      margin.response_time + slack * Rational(k, grid));
+        return fits_installed(engine.analysis(), graph);
       });
+      engine.clear_retune(margin.actor);
       margin.margin = slack * Rational(best, grid);
     }
-    VRDF_LOG(Trace) << "robustness: actor '" << graph.actor(v).name
+    VRDF_LOG(Trace) << "robustness: actor '" << graph.actor(margin.actor).name
                     << "' rho=" << margin.response_time.to_string()
                     << " phi=" << margin.max_response_time.to_string()
                     << " margin=" << margin.margin.to_string();
-    report.actors.push_back(margin);
   }
 
   // Per-actor margins hold the *other* actors at their declared ρ and do
   // not compose; the joint fraction is what all actors may take at once.
+  ParameterOverlay inflated;
   const std::int64_t joint = max_true(grid, [&](std::int64_t k) {
-    dataflow::VrdfGraph probe = graph;
     for (const ActorMargin& m : report.actors) {
       const Duration slack = m.max_response_time - m.response_time;
       if (slack.is_positive()) {
-        probe.set_response_time(m.actor,
-                                m.response_time + slack * Rational(k, grid));
+        inflated.set_response_time(
+            m.actor, m.response_time + slack * Rational(k, grid));
       }
     }
-    return fits_installed(probe, constraints, options.analysis);
+    return fits_installed(compute_buffer_capacities(snapshot, constraints,
+                                                    options.analysis,
+                                                    inflated),
+                          graph);
   });
   report.joint_safe_fraction = Rational(joint, grid);
 

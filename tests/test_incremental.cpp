@@ -473,5 +473,49 @@ TEST(IncrementalAnalysis, StaleSnapshotThrowsNamingTheMutation) {
   }
 }
 
+TEST(IncrementalAnalysis, StaleSnapshotMessagesArePinned) {
+  // The full stale-snapshot diagnostic for each of the four mutators,
+  // byte for byte.  add_buffer adds two edges; the second (space) edge,
+  // consumer -> producer, is the mutation it leaves behind.
+  const auto stale_message = [](const auto& mutate) {
+    VrdfGraph graph;
+    const ActorId src = graph.add_actor("src", milliseconds(Rational(1)));
+    const ActorId dst = graph.add_actor("dst", milliseconds(Rational(2)));
+    (void)graph.add_buffer(src, dst, dataflow::RateSet::singleton(2),
+                           dataflow::RateSet::of({1, 3}));
+    const TopologySnapshot snapshot(graph);
+    snapshot.require_fresh();
+    mutate(graph, src, dst);
+    try {
+      snapshot.require_fresh();
+    } catch (const ContractError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  const std::string tail =
+      ") after capture; re-capture the snapshot instead of querying "
+      "memoized structure that no longer matches the graph";
+  const std::string head =
+      "topology snapshot is stale: the underlying graph was mutated (";
+  EXPECT_EQ(stale_message([](VrdfGraph& g, ActorId, ActorId) {
+              (void)g.add_actor("late", milliseconds(Rational(3)));
+            }),
+            head + "add_actor 'late'" + tail);
+  EXPECT_EQ(stale_message([](VrdfGraph& g, ActorId src, ActorId dst) {
+              (void)g.add_buffer(src, dst, dataflow::RateSet::singleton(1),
+                                 dataflow::RateSet::singleton(1));
+            }),
+            head + "add_edge dst -> src" + tail);
+  EXPECT_EQ(stale_message([](VrdfGraph& g, ActorId, ActorId) {
+              g.set_initial_tokens(g.buffers().front().space, 4);
+            }),
+            head + "set_initial_tokens on edge dst -> src" + tail);
+  EXPECT_EQ(stale_message([](VrdfGraph& g, ActorId, ActorId dst) {
+              g.set_response_time(dst, milliseconds(Rational(5)));
+            }),
+            head + "set_response_time on actor 'dst'" + tail);
+}
+
 }  // namespace
 }  // namespace vrdf::analysis

@@ -2,8 +2,12 @@
 // the document byte for byte across every random generator — constraints,
 // capacity= (installed via apply_capacities) and delta= (cyclic
 // back-edge tokens) included — plus the write-time rejection of actor
-// names the whitespace-tokenized format cannot represent.
+// names the whitespace-tokenized format cannot represent, and every
+// diagnostic read_chain gives for a malformed document, byte for byte.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "analysis/buffer_sizing.hpp"
 #include "io/text_format.hpp"
@@ -125,6 +129,148 @@ TEST(TextRoundTrip, UnserializableActorNamesRejectedAtWriteTime) {
   EXPECT_NE(ok.find("dsp.core-1"), std::string::npos);
   const ChainDocument parsed = read_chain(ok);
   EXPECT_TRUE(parsed.graph.find_actor("dsp.core-1").has_value());
+}
+
+// ------------------------------------------------- pinned diagnostics
+
+enum class Kind { Model, Contract };
+
+struct MalformedRow {
+  std::string text;
+  Kind kind;
+  std::string what;
+};
+
+const std::string kHeader =
+    "vrdf-chain v1\nactor a rho=1/1000\nactor b rho=1/1000\n";
+
+/// One document per parse_error site and per Rational::from_string
+/// failure, with the exception type and the exact what().  A Contract
+/// row is compared up to the " [" that starts the source-location suffix.
+std::vector<MalformedRow> malformed_rows() {
+  return {
+    {"",
+     Kind::Model, "empty document: expected header 'vrdf-chain v1'"},
+    {"# only a comment\n\n",
+     Kind::Model, "empty document: expected header 'vrdf-chain v1'"},
+    {"bogus v1\n",
+     Kind::Model, "line 1: expected header 'vrdf-chain v1'"},
+    {"vrdf-chain v1 extra\n",
+     Kind::Model, "line 1: expected header 'vrdf-chain v1'"},
+    {"\n  # c\nvrdf-chain v2\n",
+     Kind::Model, "line 3: expected header 'vrdf-chain v1'"},
+    {kHeader + "whatisthis\n",
+     Kind::Model, "line 4: unknown directive 'whatisthis'"},
+    {kHeader + "actor c\n",
+     Kind::Model, "line 4: expected 'actor <name> rho=<seconds>'"},
+    {kHeader + "actor c period=1\n",
+     Kind::Model, "line 4: missing rho="},
+    {kHeader + "actor c rho=abc\n",
+     Kind::Model, "line 4: malformed rho 'abc'"},
+    {kHeader + "actor c rho=\n",
+     Kind::Model, "line 4: malformed rho ''"},
+    {kHeader + "actor c rho=1/0\n",
+     Kind::Model, "line 4: malformed rho '1/0'"},
+    {kHeader + "actor c rho=1.\n",
+     Kind::Model, "line 4: malformed rho '1.'"},
+    {kHeader + "actor c rho=3/4/5\n",
+     Kind::Model, "line 4: malformed rho '3/4/5'"},
+    {kHeader + "actor c rho=1e3\n",
+     Kind::Model, "line 4: malformed rho '1e3'"},
+    {kHeader + "actor c rho=+-5\n",
+     Kind::Model, "line 4: malformed rho '+-5'"},
+    {kHeader + "actor c rho=9223372036854775808\n",
+     Kind::Model, "line 4: rho '9223372036854775808' is out of range"},
+    {kHeader + "actor c rho=0.0000000000000000001\n",
+     Kind::Model, "line 4: rho '0.0000000000000000001' is out of range"},
+    {kHeader + "buffer a -> b pi={1}\n",
+     Kind::Model, "line 4: expected 'buffer <p> -> <c> pi=<set> gamma=<set> [capacity=<n>] [delta=<n>]'"},
+    {kHeader + "buffer a to b pi={1} gamma={1}\n",
+     Kind::Model, "line 4: expected 'buffer <p> -> <c> pi=<set> gamma=<set> [capacity=<n>] [delta=<n>]'"},
+    {kHeader + "buffer a -> zz pi={1} gamma={1}\n",
+     Kind::Model, "line 4: buffer references an unknown actor"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} colour=red\n",
+     Kind::Model, "line 4: unknown attribute 'colour=red'"},
+    {kHeader + "buffer a -> b pi={1} capacity=3\n",
+     Kind::Model, "line 4: buffer needs pi= and gamma="},
+    {kHeader + "buffer a -> b pi={} gamma={1}\n",
+     Kind::Model, "line 4: malformed rate set '{}'"},
+    {kHeader + "buffer a -> b pi={1,,2} gamma={1}\n",
+     Kind::Model, "line 4: malformed rate value ''"},
+    {kHeader + "buffer a -> b pi={,} gamma={1}\n",
+     Kind::Model, "line 4: malformed rate value ''"},
+    {kHeader + "buffer a -> b pi={1,x} gamma={1}\n",
+     Kind::Model, "line 4: malformed rate value 'x'"},
+    {kHeader + "buffer a -> b pi={12abc} gamma={1}\n",
+     Kind::Model, "line 4: malformed rate value '12abc' (trailing characters)"},
+    {kHeader + "buffer a -> b pi={99999999999999999999} gamma={1}\n",
+     Kind::Model, "line 4: rate value '99999999999999999999' is out of range"},
+    {kHeader + "buffer a -> b pi={99999999999999999999x} gamma={1}\n",
+     Kind::Model, "line 4: rate value '99999999999999999999x' is out of range"},
+    {kHeader + "buffer a -> b pi=(1,2) gamma={1}\n",
+     Kind::Model, "line 4: rate sets are '{...}' or '[lo,hi]'"},
+    {kHeader + "buffer a -> b pi={1} gamma=[1,2,3]\n",
+     Kind::Model, "line 4: an interval needs exactly two bounds"},
+    {kHeader + "buffer a -> b pi={1} gamma=[1\n",
+     Kind::Model, "line 4: malformed rate set '[1'"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} capacity=x\n",
+     Kind::Model, "line 4: malformed capacity 'x'"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} delta=1.5\n",
+     Kind::Model, "line 4: malformed delta '1.5' (trailing characters)"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} capacity=2 delta=3\n",
+     Kind::Model, "line 4: capacity must cover delta (initial tokens)"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} delta=-1\n",
+     Kind::Model, "line 4: capacity must cover delta (initial tokens)"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} capacity=-4\n",
+     Kind::Model, "line 4: capacity must cover delta (initial tokens)"},
+    {kHeader + "constraint a\n",
+     Kind::Model, "line 4: expected 'constraint <actor> period=<seconds>'"},
+    {kHeader + "constraint zz period=1\n",
+     Kind::Model, "line 4: constraint references an unknown actor"},
+    {kHeader + "constraint a period=1\nconstraint a period=2\n",
+     Kind::Model, "line 5: duplicate constraint for actor 'a'"},
+    {kHeader + "constraint a rho=1\n",
+     Kind::Model, "line 4: missing period="},
+    {kHeader + "constraint a period=1/x\n",
+     Kind::Model, "line 4: malformed period '1/x'"},
+    {kHeader + "constraint a period=-9223372036854775809\n",
+     Kind::Model, "line 4: period '-9223372036854775809' is out of range"},
+    {kHeader + "buffer a -> b pi={0} gamma={1}\n",
+     Kind::Contract, "contract violation: a rate set must contain a positive quantum (Pf(N) excludes {0})"},
+    {kHeader + "buffer a -> b pi=[3,1] gamma={1}\n",
+     Kind::Contract, "contract violation: rate interval must satisfy hi >= lo"},
+    {kHeader + "buffer a -> b pi={-1,2} gamma={1}\n",
+     Kind::Contract, "contract violation: rate quanta must be non-negative"},
+    {kHeader + "actor c rho=0\n",
+     Kind::Contract, "contract violation: actor response time must be positive"},
+    {kHeader + "actor c rho=-1/2\n",
+     Kind::Contract, "contract violation: actor response time must be positive"},
+    {kHeader + "actor a rho=1\n",
+     Kind::Contract, "contract violation: actor name 'a' is already in use"},
+    {"vrdf-chain v1\r\nactor a rho=1\r\n\r\nbogus\r\n",
+     Kind::Model, "line 4: unknown directive 'bogus'"},
+    {kHeader + "actor\tc\trho=x\t# trailing comment\n",
+     Kind::Model, "line 4: malformed rho 'x'"},
+    {kHeader + "buffer a -> b pi={1,2,} gamma={1,,} # note\n",
+     Kind::Model, "line 4: malformed rate value ''"},
+  };
+}
+
+TEST(TextFormat, MalformedDocumentDiagnosticsArePinned) {
+  for (const MalformedRow& row : malformed_rows()) {
+    SCOPED_TRACE(row.text);
+    try {
+      (void)read_chain(row.text);
+      ADD_FAILURE() << "accepted";
+    } catch (const ModelError& e) {
+      EXPECT_EQ(row.kind, Kind::Model);
+      EXPECT_EQ(std::string(e.what()), row.what);
+    } catch (const ContractError& e) {
+      EXPECT_EQ(row.kind, Kind::Contract);
+      const std::string what = e.what();
+      EXPECT_EQ(what.substr(0, what.find(" [")), row.what);
+    }
+  }
 }
 
 }  // namespace

@@ -119,10 +119,9 @@ public:
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
   /// Human-readable description of the mutation that produced the current
   /// revision (names the actor or edge), empty on a freshly constructed
-  /// graph.  Used by the stale-snapshot diagnostic.
-  [[nodiscard]] const std::string& last_mutation() const {
-    return last_mutation_;
-  }
+  /// graph.  Rendered on demand for the stale-snapshot diagnostic; the
+  /// mutators only record which kind of mutation touched which element.
+  [[nodiscard]] std::string last_mutation() const;
 
   /// A VRDF graph seen as a chain of buffers: actors ordered from the data
   /// source to the data sink, with buffers[i] connecting actors[i] to
@@ -197,14 +196,24 @@ public:
   [[nodiscard]] std::optional<BufferView> buffer_view() const;
 
 private:
-  void record_mutation(std::string what);
+  enum class Mutation : std::uint8_t {
+    None,
+    AddActor,
+    AddEdge,
+    SetInitialTokens,
+    SetResponseTime,
+  };
+  /// Bumps the revision; `index` is the actor or edge index the mutation
+  /// touched.
+  void record_mutation(Mutation kind, std::size_t index);
 
   graph::Digraph topology_;
   std::vector<Actor> actors_;
   std::vector<Edge> edges_;
   std::vector<BufferEdges> buffers_;
   std::uint64_t revision_ = 0;
-  std::string last_mutation_;
+  Mutation last_mutation_ = Mutation::None;
+  std::size_t last_mutation_index_ = 0;
 };
 
 }  // namespace vrdf::dataflow

@@ -2,76 +2,86 @@
 
 #include <cctype>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "util/checked_int.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::io {
 
 namespace {
 
+using dataflow::ActorId;
 using dataflow::RateSet;
 
 [[noreturn]] void parse_error(std::size_t line_no, const std::string& message) {
   throw ModelError("line " + std::to_string(line_no) + ": " + message);
 }
 
-/// Checked std::stoll: rejects non-numeric text, trailing garbage
-/// ("12abc") and values outside int64 with a line-numbered diagnostic
-/// instead of letting std::invalid_argument / std::out_of_range escape
-/// (or silently truncating the garbage suffix).
-std::int64_t parse_int64(const std::string& text, std::size_t line_no,
+/// Checked integer token: non-numeric text, trailing garbage ("12abc")
+/// and values outside int64 are line-numbered diagnostics, checked in
+/// std::stoll's order, never a truncated or wrapped value.
+std::int64_t parse_int64(std::string_view text, std::size_t line_no,
                          const char* what) {
-  std::size_t consumed = 0;
-  try {
-    const std::int64_t value = std::stoll(text, &consumed);
-    if (consumed != text.size()) {
-      parse_error(line_no, std::string("malformed ") + what + " '" + text +
-                               "' (trailing characters)");
-    }
-    return value;
-  } catch (const std::invalid_argument&) {
-    parse_error(line_no, std::string("malformed ") + what + " '" + text + "'");
-  } catch (const std::out_of_range&) {
-    parse_error(line_no,
-                std::string(what) + " '" + text + "' is out of range");
+  std::int64_t value = 0;
+  switch (scan_int64(text, value)) {
+    case IntScan::Ok:
+      return value;
+    case IntScan::NoDigits:
+      break;
+    case IntScan::OutOfRange:
+      parse_error(line_no,
+                  std::string(what) + " '" + std::string(text) +
+                      "' is out of range");
+    case IntScan::Trailing:
+      parse_error(line_no, std::string("malformed ") + what + " '" +
+                               std::string(text) + "' (trailing characters)");
   }
+  parse_error(line_no,
+              std::string("malformed ") + what + " '" + std::string(text) + "'");
 }
 
 /// Checked Rational::from_string: converts its ContractError /
 /// OverflowError into a line-numbered parse diagnostic.
-Rational parse_rational(const std::string& text, std::size_t line_no,
+Rational parse_rational(std::string_view text, std::size_t line_no,
                         const char* what) {
   try {
     return Rational::from_string(text);
   } catch (const OverflowError&) {
-    parse_error(line_no,
-                std::string(what) + " '" + text + "' is out of range");
+    parse_error(line_no, std::string(what) + " '" + std::string(text) +
+                             "' is out of range");
   } catch (const Error&) {
-    parse_error(line_no, std::string("malformed ") + what + " '" + text + "'");
+    parse_error(line_no, std::string("malformed ") + what + " '" +
+                             std::string(text) + "'");
   }
 }
 
-std::string rate_set_to_text(const RateSet& set) { return set.to_string(); }
-
-RateSet parse_rate_set(const std::string& text, std::size_t line_no) {
+RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
   if (text.size() < 3) {
-    parse_error(line_no, "malformed rate set '" + text + "'");
+    parse_error(line_no, "malformed rate set '" + std::string(text) + "'");
   }
   const char open = text.front();
   const char close = text.back();
-  const std::string body = text.substr(1, text.size() - 2);
+  std::string_view body = text.substr(1, text.size() - 2);
+  // A trailing ',' closes the last item rather than opening an empty one
+  // ("{1,2,}" is {1,2}); every other empty item is malformed.
+  if (body.back() == ',') {
+    body.remove_suffix(1);
+  }
   std::vector<std::int64_t> values;
-  std::istringstream is(body);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    values.push_back(parse_int64(item, line_no, "rate value"));
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = body.find(',', start);
+    values.push_back(
+        parse_int64(body.substr(start, comma - start), line_no, "rate value"));
+    if (comma == std::string_view::npos) {
+      break;
+    }
+    start = comma + 1;
   }
   if (open == '{' && close == '}') {
-    if (values.empty()) {
-      parse_error(line_no, "empty rate set");
-    }
-    return RateSet::of(values);
+    return RateSet::of(std::move(values));
   }
   if (open == '[' && close == ']') {
     if (values.size() != 2) {
@@ -82,22 +92,38 @@ RateSet parse_rate_set(const std::string& text, std::size_t line_no) {
   parse_error(line_no, "rate sets are '{...}' or '[lo,hi]'");
 }
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    out.push_back(token);
-  }
-  return out;
+/// The whitespace operator>> splits on in the classic locale; '\r' among
+/// it, so CRLF documents tokenize like LF ones.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-/// "key=value" accessor; returns empty when the token has another key.
-std::optional<std::string> key_value(const std::string& token,
-                                     const std::string& key) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) == 0) {
-    return token.substr(prefix.size());
+/// Splits a line into whitespace-separated tokens, reusing `tokens`.
+void split_ws(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  std::size_t i = 0;
+  while (true) {
+    while (i < line.size() && is_space(line[i])) {
+      ++i;
+    }
+    if (i == line.size()) {
+      return;
+    }
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) {
+      ++i;
+    }
+    tokens.push_back(line.substr(start, i - start));
+  }
+}
+
+/// "key=value" accessor (`key` includes the '='); empty when the token
+/// has another key.
+std::optional<std::string_view> key_value(std::string_view token,
+                                          std::string_view key) {
+  if (token.starts_with(key)) {
+    return token.substr(key.size());
   }
   return std::nullopt;
 }
@@ -147,8 +173,8 @@ std::string write_chain(const dataflow::VrdfGraph& graph,
     const dataflow::Edge& data = graph.edge(b.data);
     os << "buffer " << graph.actor(data.source).name << " -> "
        << graph.actor(data.target).name
-       << " pi=" << rate_set_to_text(data.production)
-       << " gamma=" << rate_set_to_text(data.consumption);
+       << " pi=" << data.production.to_string()
+       << " gamma=" << data.consumption.to_string();
     // capacity= is the *total* container count (free + occupied by
     // initial data tokens); delta= carries the initial tokens of cyclic
     // back-edges so cyclic models round-trip.
@@ -168,19 +194,24 @@ std::string write_chain(const dataflow::VrdfGraph& graph,
   return os.str();
 }
 
-ChainDocument read_chain(const std::string& text) {
+ChainDocument read_chain(std::string_view text) {
   ChainDocument doc;
-  std::istringstream is(text);
-  std::string line;
+  // Actor names by their text in the document, which outlives the parse.
+  std::unordered_map<std::string_view, ActorId> actors;  // det-lint: ok(lookup only, never iterated)
+  const auto find_actor = [&actors](std::string_view name) {
+    const auto it = actors.find(name);
+    return it == actors.end() ? std::nullopt : std::optional(it->second);
+  };
+  std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
   bool header_seen = false;
-  while (std::getline(is, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t newline = text.find('\n', pos);
+    std::string_view line = text.substr(pos, newline - pos);
+    pos = newline == std::string_view::npos ? text.size() : newline + 1;
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.erase(hash);
-    }
-    const std::vector<std::string> tokens = split_ws(line);
+    line = line.substr(0, line.find('#'));
+    split_ws(line, tokens);
     if (tokens.empty()) {
       continue;
     }
@@ -195,20 +226,21 @@ ChainDocument read_chain(const std::string& text) {
       if (tokens.size() != 3) {
         parse_error(line_no, "expected 'actor <name> rho=<seconds>'");
       }
-      const auto rho = key_value(tokens[2], "rho");
+      const auto rho = key_value(tokens[2], "rho=");
       if (!rho.has_value()) {
         parse_error(line_no, "missing rho=");
       }
-      (void)doc.graph.add_actor(tokens[1],
-                                Duration(parse_rational(*rho, line_no, "rho")));
+      const ActorId id = doc.graph.add_actor(
+          std::string(tokens[1]), Duration(parse_rational(*rho, line_no, "rho")));
+      actors.emplace(tokens[1], id);
     } else if (tokens[0] == "buffer") {
       if (tokens.size() < 6 || tokens[2] != "->") {
         parse_error(line_no,
                     "expected 'buffer <p> -> <c> pi=<set> gamma=<set> "
                     "[capacity=<n>] [delta=<n>]'");
       }
-      const auto producer = doc.graph.find_actor(tokens[1]);
-      const auto consumer = doc.graph.find_actor(tokens[3]);
+      const auto producer = find_actor(tokens[1]);
+      const auto consumer = find_actor(tokens[3]);
       if (!producer.has_value() || !consumer.has_value()) {
         parse_error(line_no, "buffer references an unknown actor");
       }
@@ -217,16 +249,17 @@ ChainDocument read_chain(const std::string& text) {
       std::int64_t capacity = 0;
       std::int64_t delta = 0;
       for (std::size_t i = 4; i < tokens.size(); ++i) {
-        if (const auto v = key_value(tokens[i], "pi")) {
+        if (const auto v = key_value(tokens[i], "pi=")) {
           pi = parse_rate_set(*v, line_no);
-        } else if (const auto g = key_value(tokens[i], "gamma")) {
+        } else if (const auto g = key_value(tokens[i], "gamma=")) {
           gamma = parse_rate_set(*g, line_no);
-        } else if (const auto c = key_value(tokens[i], "capacity")) {
+        } else if (const auto c = key_value(tokens[i], "capacity=")) {
           capacity = parse_int64(*c, line_no, "capacity");
-        } else if (const auto d = key_value(tokens[i], "delta")) {
+        } else if (const auto d = key_value(tokens[i], "delta=")) {
           delta = parse_int64(*d, line_no, "delta");
         } else {
-          parse_error(line_no, "unknown attribute '" + tokens[i] + "'");
+          parse_error(line_no,
+                      "unknown attribute '" + std::string(tokens[i]) + "'");
         }
       }
       if (!pi.has_value() || !gamma.has_value()) {
@@ -235,23 +268,23 @@ ChainDocument read_chain(const std::string& text) {
       if (delta < 0 || capacity < 0 || (capacity != 0 && capacity < delta)) {
         parse_error(line_no, "capacity must cover delta (initial tokens)");
       }
-      (void)doc.graph.add_buffer(*producer, *consumer, *pi, *gamma, capacity,
-                                 delta);
+      (void)doc.graph.add_buffer(*producer, *consumer, std::move(*pi),
+                                 std::move(*gamma), capacity, delta);
     } else if (tokens[0] == "constraint") {
       if (tokens.size() != 3) {
         parse_error(line_no, "expected 'constraint <actor> period=<seconds>'");
       }
-      const auto actor = doc.graph.find_actor(tokens[1]);
+      const auto actor = find_actor(tokens[1]);
       if (!actor.has_value()) {
         parse_error(line_no, "constraint references an unknown actor");
       }
       for (const analysis::ThroughputConstraint& existing : doc.constraints) {
         if (existing.actor == *actor) {
-          parse_error(line_no,
-                      "duplicate constraint for actor '" + tokens[1] + "'");
+          parse_error(line_no, "duplicate constraint for actor '" +
+                                   std::string(tokens[1]) + "'");
         }
       }
-      const auto period = key_value(tokens[2], "period");
+      const auto period = key_value(tokens[2], "period=");
       if (!period.has_value()) {
         parse_error(line_no, "missing period=");
       }
@@ -261,7 +294,7 @@ ChainDocument read_chain(const std::string& text) {
         doc.constraint = doc.constraints.front();
       }
     } else {
-      parse_error(line_no, "unknown directive '" + tokens[0] + "'");
+      parse_error(line_no, "unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
   if (!header_seen) {

@@ -23,6 +23,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/types.hpp"
@@ -56,6 +57,6 @@ struct ChainDocument {
 /// Parses the format above; throws ModelError with a line number on
 /// malformed input (unknown directives/attributes, bad or overflowing
 /// numbers, duplicate constraint actors).
-[[nodiscard]] ChainDocument read_chain(const std::string& text);
+[[nodiscard]] ChainDocument read_chain(std::string_view text);
 
 }  // namespace vrdf::io

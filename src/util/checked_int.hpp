@@ -6,9 +6,11 @@
 // these helpers so that overflow is an exception, never a wrong number.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -73,5 +75,30 @@ namespace detail {
 
 /// Ceiling division a / b for b > 0 (rounds towards positive infinity).
 [[nodiscard]] std::int64_t ceil_div(std::int64_t a, std::int64_t b);
+
+/// Outcome of scan_int64, in the order std::stoll checks them.
+enum class IntScan { Ok, NoDigits, OutOfRange, Trailing };
+
+/// Reads a decimal int64 under std::stoll's grammar, without its
+/// leading-whitespace skip: one optional '+' or '-', then at least one
+/// digit.  NoDigits when that prefix is absent, OutOfRange when its value
+/// does not fit int64, Trailing when characters follow it.  `value` holds
+/// the number on Ok and Trailing.
+[[nodiscard]] inline IntScan scan_int64(std::string_view text,
+                                        std::int64_t& value) {
+  const bool sign = !text.empty() && (text[0] == '+' || text[0] == '-');
+  const std::size_t digits = sign ? 1 : 0;
+  if (digits >= text.size() || text[digits] < '0' || text[digits] > '9') {
+    return IntScan::NoDigits;
+  }
+  // from_chars takes a '-' but not a '+'.
+  const char* first = text.data() + (text[0] == '-' ? 0 : digits);
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(first, last, value);
+  if (error == std::errc::result_out_of_range) {
+    return IntScan::OutOfRange;
+  }
+  return end == last ? IntScan::Ok : IntScan::Trailing;
+}
 
 }  // namespace vrdf

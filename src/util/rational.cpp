@@ -78,60 +78,56 @@ std::string Rational::to_string() const {
   return std::to_string(num_) + "/" + std::to_string(den_);
 }
 
-Rational Rational::from_string(const std::string& text) {
+Rational Rational::from_string(std::string_view text) {
   VRDF_REQUIRE(!text.empty(), "cannot parse rational from empty string");
   const auto slash = text.find('/');
   const auto dot = text.find('.');
-  // Checked std::stoll over a component: the whole substring must be one
-  // integer.  std::stoll alone stops at the first non-digit, silently
-  // truncating trailing garbage — "3/4x" parsed as 3/4, "1e3" as 1,
-  // "3/4/5" as 3/4 — and accepts leading whitespace; both are rejected
-  // here with the full literal named.
-  const auto component = [&text](const std::string& part) {
-    if (part.empty() ||
-        std::isspace(static_cast<unsigned char>(part.front())) != 0) {
-      throw ContractError("malformed rational literal: '" + text + "'");
+  // A component is one whole integer under std::stoll's grammar: trailing
+  // garbage ("3/4x", "1e3", "3/4/5") and leading whitespace are rejected
+  // with the full literal named, never truncated or skipped.
+  const auto component = [text](std::string_view part) {
+    std::int64_t value = 0;
+    switch (scan_int64(part, value)) {
+      case IntScan::Ok:
+        return value;
+      case IntScan::NoDigits:
+        break;
+      case IntScan::OutOfRange:
+        throw OverflowError("rational literal out of range: '" +
+                            std::string(text) + "'");
+      case IntScan::Trailing:
+        throw ContractError("malformed rational literal: '" +
+                            std::string(text) + "' (trailing characters)");
     }
-    std::size_t consumed = 0;
-    const std::int64_t value = std::stoll(part, &consumed);
-    if (consumed != part.size()) {
-      throw ContractError("malformed rational literal: '" + text +
-                          "' (trailing characters)");
-    }
-    return value;
+    throw ContractError("malformed rational literal: '" + std::string(text) +
+                        "'");
   };
-  try {
-    if (slash != std::string::npos) {
-      const std::int64_t n = component(text.substr(0, slash));
-      const std::int64_t d = component(text.substr(slash + 1));
-      return Rational(n, d);
-    }
-    if (dot != std::string::npos) {
-      const std::string whole = text.substr(0, dot);
-      const std::string frac = text.substr(dot + 1);
-      VRDF_REQUIRE(!frac.empty(), "decimal literal needs digits after '.'");
-      for (const char c : frac) {
-        VRDF_REQUIRE(std::isdigit(static_cast<unsigned char>(c)) != 0,
-                     "decimal fraction must be digits");
-      }
-      std::int64_t scale = 1;
-      for (std::size_t i = 0; i < frac.size(); ++i) {
-        scale = checked_mul(scale, 10);
-      }
-      const bool negative = !whole.empty() && whole[0] == '-';
-      const std::int64_t w =
-          (whole.empty() || whole == "-" || whole == "+") ? 0
-                                                          : component(whole);
-      const std::int64_t f = component(frac);
-      const std::int64_t mag = checked_add(checked_mul(w < 0 ? -w : w, scale), f);
-      return Rational(negative ? checked_neg(mag) : mag, scale);
-    }
-    return Rational(component(text));
-  } catch (const std::invalid_argument&) {
-    throw ContractError("malformed rational literal: '" + text + "'");
-  } catch (const std::out_of_range&) {
-    throw OverflowError("rational literal out of range: '" + text + "'");
+  if (slash != std::string_view::npos) {
+    const std::int64_t n = component(text.substr(0, slash));
+    const std::int64_t d = component(text.substr(slash + 1));
+    return Rational(n, d);
   }
+  if (dot != std::string_view::npos) {
+    const std::string_view whole = text.substr(0, dot);
+    const std::string_view frac = text.substr(dot + 1);
+    VRDF_REQUIRE(!frac.empty(), "decimal literal needs digits after '.'");
+    for (const char c : frac) {
+      VRDF_REQUIRE(std::isdigit(static_cast<unsigned char>(c)) != 0,
+                   "decimal fraction must be digits");
+    }
+    std::int64_t scale = 1;
+    for (std::size_t i = 0; i < frac.size(); ++i) {
+      scale = checked_mul(scale, 10);
+    }
+    const bool negative = !whole.empty() && whole[0] == '-';
+    const std::int64_t w =
+        (whole.empty() || whole == "-" || whole == "+") ? 0 : component(whole);
+    const std::int64_t f = component(frac);
+    const std::int64_t mag =
+        checked_add(checked_mul(w < 0 ? checked_neg(w) : w, scale), f);
+    return Rational(negative ? checked_neg(mag) : mag, scale);
+  }
+  return Rational(component(text));
 }
 
 Rational Rational::operator-() const {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace vrdf {
 
@@ -52,7 +53,7 @@ public:
 
   /// Parses "p", "p/q", or a simple decimal literal like "51.2".
   /// Throws ContractError on malformed input.
-  [[nodiscard]] static Rational from_string(const std::string& text);
+  [[nodiscard]] static Rational from_string(std::string_view text);
 
   [[nodiscard]] Rational operator-() const;
   [[nodiscard]] Rational reciprocal() const;

@@ -183,6 +183,8 @@ std::vector<MalformedRow> malformed_rows() {
      Kind::Model, "line 4: rho '9223372036854775808' is out of range"},
     {kHeader + "actor c rho=0.0000000000000000001\n",
      Kind::Model, "line 4: rho '0.0000000000000000001' is out of range"},
+    {kHeader + "actor c rho=-9223372036854775808.5\n",
+     Kind::Model, "line 4: rho '-9223372036854775808.5' is out of range"},
     {kHeader + "buffer a -> b pi={1}\n",
      Kind::Model, "line 4: expected 'buffer <p> -> <c> pi=<set> gamma=<set> [capacity=<n>] [delta=<n>]'"},
     {kHeader + "buffer a to b pi={1} gamma={1}\n",

@@ -1,5 +1,6 @@
 #include "io/text_format.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string_view>
@@ -58,7 +59,17 @@ Rational parse_rational(std::string_view text, std::size_t line_no,
   }
 }
 
-RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
+/// Parses one rate set of the buffer producer -> consumer.  Sets the
+/// model forbids (a negative quantum, lo > hi, no positive quantum) are
+/// line-numbered diagnostics naming the buffer, not contract violations
+/// of RateSet.
+RateSet parse_rate_set(std::string_view text, std::size_t line_no,
+                       std::string_view producer, std::string_view consumer) {
+  const auto invalid = [&](const char* reason) {
+    parse_error(line_no, "buffer " + std::string(producer) + " -> " +
+                             std::string(consumer) + ": rate set '" +
+                             std::string(text) + "' " + reason);
+  };
   if (text.size() < 3) {
     parse_error(line_no, "malformed rate set '" + std::string(text) + "'");
   }
@@ -81,11 +92,27 @@ RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
     start = comma + 1;
   }
   if (open == '{' && close == '}') {
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    if (*lo < 0) {
+      invalid("has a negative quantum");
+    }
+    if (*hi == 0) {
+      invalid("needs a positive quantum");
+    }
     return RateSet::of(std::move(values));
   }
   if (open == '[' && close == ']') {
     if (values.size() != 2) {
       parse_error(line_no, "an interval needs exactly two bounds");
+    }
+    if (values[0] < 0) {
+      invalid("has a negative quantum");
+    }
+    if (values[1] < values[0]) {
+      invalid("needs lo <= hi");
+    }
+    if (values[1] == 0) {
+      invalid("needs a positive quantum");
     }
     return RateSet::interval(values[0], values[1]);
   }
@@ -230,9 +257,16 @@ ChainDocument read_chain(std::string_view text) {
       if (!rho.has_value()) {
         parse_error(line_no, "missing rho=");
       }
-      const ActorId id = doc.graph.add_actor(
-          std::string(tokens[1]), Duration(parse_rational(*rho, line_no, "rho")));
-      actors.emplace(tokens[1], id);
+      const Rational seconds = parse_rational(*rho, line_no, "rho");
+      if (!seconds.is_positive()) {
+        parse_error(line_no, "rho of actor '" + std::string(tokens[1]) +
+                                 "' must be positive");
+      }
+      if (find_actor(tokens[1]).has_value()) {
+        parse_error(line_no, "duplicate actor '" + std::string(tokens[1]) + "'");
+      }
+      actors.emplace(tokens[1], doc.graph.add_actor(std::string(tokens[1]),
+                                                    Duration(seconds)));
     } else if (tokens[0] == "buffer") {
       if (tokens.size() < 6 || tokens[2] != "->") {
         parse_error(line_no,
@@ -250,9 +284,9 @@ ChainDocument read_chain(std::string_view text) {
       std::int64_t delta = 0;
       for (std::size_t i = 4; i < tokens.size(); ++i) {
         if (const auto v = key_value(tokens[i], "pi=")) {
-          pi = parse_rate_set(*v, line_no);
+          pi = parse_rate_set(*v, line_no, tokens[1], tokens[3]);
         } else if (const auto g = key_value(tokens[i], "gamma=")) {
-          gamma = parse_rate_set(*g, line_no);
+          gamma = parse_rate_set(*g, line_no, tokens[1], tokens[3]);
         } else if (const auto c = key_value(tokens[i], "capacity=")) {
           capacity = parse_int64(*c, line_no, "capacity");
         } else if (const auto d = key_value(tokens[i], "delta=")) {

@@ -238,17 +238,17 @@ std::vector<MalformedRow> malformed_rows() {
     {kHeader + "constraint a period=-9223372036854775809\n",
      Kind::Model, "line 4: period '-9223372036854775809' is out of range"},
     {kHeader + "buffer a -> b pi={0} gamma={1}\n",
-     Kind::Contract, "contract violation: a rate set must contain a positive quantum (Pf(N) excludes {0})"},
+     Kind::Model, "line 4: buffer a -> b: rate set '{0}' needs a positive quantum"},
     {kHeader + "buffer a -> b pi=[3,1] gamma={1}\n",
-     Kind::Contract, "contract violation: rate interval must satisfy hi >= lo"},
+     Kind::Model, "line 4: buffer a -> b: rate set '[3,1]' needs lo <= hi"},
     {kHeader + "buffer a -> b pi={-1,2} gamma={1}\n",
-     Kind::Contract, "contract violation: rate quanta must be non-negative"},
+     Kind::Model, "line 4: buffer a -> b: rate set '{-1,2}' has a negative quantum"},
     {kHeader + "actor c rho=0\n",
-     Kind::Contract, "contract violation: actor response time must be positive"},
+     Kind::Model, "line 4: rho of actor 'c' must be positive"},
     {kHeader + "actor c rho=-1/2\n",
-     Kind::Contract, "contract violation: actor response time must be positive"},
+     Kind::Model, "line 4: rho of actor 'c' must be positive"},
     {kHeader + "actor a rho=1\n",
-     Kind::Contract, "contract violation: actor name 'a' is already in use"},
+     Kind::Model, "line 4: duplicate actor 'a'"},
     {"vrdf-chain v1\r\nactor a rho=1\r\n\r\nbogus\r\n",
      Kind::Model, "line 4: unknown directive 'bogus'"},
     {kHeader + "actor\tc\trho=x\t# trailing comment\n",

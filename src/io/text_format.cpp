@@ -262,11 +262,11 @@ ChainDocument read_chain(std::string_view text) {
         parse_error(line_no, "rho of actor '" + std::string(tokens[1]) +
                                  "' must be positive");
       }
-      if (find_actor(tokens[1]).has_value()) {
+      const auto [slot, fresh] = actors.try_emplace(tokens[1]);
+      if (!fresh) {
         parse_error(line_no, "duplicate actor '" + std::string(tokens[1]) + "'");
       }
-      actors.emplace(tokens[1], doc.graph.add_actor(std::string(tokens[1]),
-                                                    Duration(seconds)));
+      slot->second = doc.graph.add_actor(std::string(tokens[1]), Duration(seconds));
     } else if (tokens[0] == "buffer") {
       if (tokens.size() < 6 || tokens[2] != "->") {
         parse_error(line_no,
@@ -280,17 +280,29 @@ ChainDocument read_chain(std::string_view text) {
       }
       std::optional<RateSet> pi;
       std::optional<RateSet> gamma;
-      std::int64_t capacity = 0;
-      std::int64_t delta = 0;
+      std::optional<std::int64_t> capacity;
+      std::optional<std::int64_t> delta;
       for (std::size_t i = 4; i < tokens.size(); ++i) {
-        if (const auto v = key_value(tokens[i], "pi=")) {
-          pi = parse_rate_set(*v, line_no, tokens[1], tokens[3]);
-        } else if (const auto g = key_value(tokens[i], "gamma=")) {
-          gamma = parse_rate_set(*g, line_no, tokens[1], tokens[3]);
-        } else if (const auto c = key_value(tokens[i], "capacity=")) {
-          capacity = parse_int64(*c, line_no, "capacity");
-        } else if (const auto d = key_value(tokens[i], "delta=")) {
-          delta = parse_int64(*d, line_no, "delta");
+        const std::string_view key = tokens[i].substr(0, tokens[i].find('=') + 1);
+        const std::string_view value = tokens[i].substr(key.size());
+        const auto once = [&](bool seen) {
+          if (seen) {
+            parse_error(line_no,
+                        "duplicate attribute '" + std::string(key) + "'");
+          }
+        };
+        if (key == "pi=") {
+          once(pi.has_value());
+          pi = parse_rate_set(value, line_no, tokens[1], tokens[3]);
+        } else if (key == "gamma=") {
+          once(gamma.has_value());
+          gamma = parse_rate_set(value, line_no, tokens[1], tokens[3]);
+        } else if (key == "capacity=") {
+          once(capacity.has_value());
+          capacity = parse_int64(value, line_no, "capacity");
+        } else if (key == "delta=") {
+          once(delta.has_value());
+          delta = parse_int64(value, line_no, "delta");
         } else {
           parse_error(line_no,
                       "unknown attribute '" + std::string(tokens[i]) + "'");
@@ -299,11 +311,13 @@ ChainDocument read_chain(std::string_view text) {
       if (!pi.has_value() || !gamma.has_value()) {
         parse_error(line_no, "buffer needs pi= and gamma=");
       }
-      if (delta < 0 || capacity < 0 || (capacity != 0 && capacity < delta)) {
+      const std::int64_t total = capacity.value_or(0);
+      const std::int64_t initial = delta.value_or(0);
+      if (initial < 0 || total < 0 || (total != 0 && total < initial)) {
         parse_error(line_no, "capacity must cover delta (initial tokens)");
       }
       (void)doc.graph.add_buffer(*producer, *consumer, std::move(*pi),
-                                 std::move(*gamma), capacity, delta);
+                                 std::move(*gamma), total, initial);
     } else if (tokens[0] == "constraint") {
       if (tokens.size() != 3) {
         parse_error(line_no, "expected 'constraint <actor> period=<seconds>'");

@@ -56,7 +56,9 @@ struct ChainDocument {
 
 /// Parses the format above; throws ModelError with a line number on
 /// malformed input (unknown directives/attributes, bad or overflowing
-/// numbers, duplicate constraint actors).
+/// numbers, a repeated actor, attribute or constraint actor, a
+/// non-positive rho, a rate set with a negative quantum, lo > hi or no
+/// positive quantum).
 [[nodiscard]] ChainDocument read_chain(std::string_view text);
 
 }  // namespace vrdf::io

@@ -225,6 +225,14 @@ std::vector<MalformedRow> malformed_rows() {
      Kind::Model, "line 4: capacity must cover delta (initial tokens)"},
     {kHeader + "buffer a -> b pi={1} gamma={1} capacity=-4\n",
      Kind::Model, "line 4: capacity must cover delta (initial tokens)"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} pi={2}\n",
+     Kind::Model, "line 4: duplicate attribute 'pi='"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} gamma={1}\n",
+     Kind::Model, "line 4: duplicate attribute 'gamma='"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} capacity=4 capacity=4\n",
+     Kind::Model, "line 4: duplicate attribute 'capacity='"},
+    {kHeader + "buffer a -> b pi={1} gamma={1} delta=0 delta=1\n",
+     Kind::Model, "line 4: duplicate attribute 'delta='"},
     {kHeader + "constraint a\n",
      Kind::Model, "line 4: expected 'constraint <actor> period=<seconds>'"},
     {kHeader + "constraint zz period=1\n",

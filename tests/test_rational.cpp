@@ -2,7 +2,9 @@
 // capacity number rests on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/rational.hpp"
@@ -152,6 +154,55 @@ TEST(Rational, FromStringSignAndComponentForms) {
   EXPECT_THROW((void)Rational::from_string("-"), ContractError);
   EXPECT_THROW((void)Rational::from_string("+"), ContractError);
   EXPECT_THROW((void)Rational::from_string("."), ContractError);
+}
+
+TEST(Rational, FromStringInt64EdgeCases) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(Rational::from_string("9223372036854775807"), Rational(kMax));
+  EXPECT_EQ(Rational::from_string("+9223372036854775807"), Rational(kMax));
+  EXPECT_EQ(Rational::from_string("-9223372036854775807"), Rational(-kMax));
+  EXPECT_EQ(Rational::from_string("-9223372036854775808"), Rational(kMin));
+  EXPECT_EQ(Rational::from_string("+5"), Rational(5));
+  EXPECT_EQ(Rational::from_string("-0"), Rational(0));
+  EXPECT_EQ(Rational::from_string("-0.0"), Rational(0));
+  EXPECT_EQ(Rational::from_string("0.5"), Rational(1, 2));
+  EXPECT_EQ(Rational::from_string("1/9223372036854775807"), Rational(1, kMax));
+  // One past either end is out of range, not wrapped; so is a decimal
+  // whose whole part is int64's minimum (its magnitude does not fit).
+  EXPECT_THROW((void)Rational::from_string("9223372036854775808"),
+               OverflowError);
+  EXPECT_THROW((void)Rational::from_string("-9223372036854775809"),
+               OverflowError);
+  EXPECT_THROW((void)Rational::from_string("-9223372036854775808.5"),
+               OverflowError);
+  EXPECT_THROW((void)Rational::from_string("0.0000000000000000001"),
+               OverflowError);
+  // A leading space, or one after the sign, is malformed (std::stoll
+  // would have skipped the first).
+  EXPECT_THROW((void)Rational::from_string(" 5"), ContractError);
+  EXPECT_THROW((void)Rational::from_string("- 5"), ContractError);
+  EXPECT_THROW((void)Rational::from_string("1/ 2"), ContractError);
+  EXPECT_THROW((void)Rational::from_string(" 1.5"), ContractError);
+  EXPECT_THROW((void)Rational::from_string("+-5"), ContractError);
+  EXPECT_THROW((void)Rational::from_string("1/0"), ContractError);
+}
+
+TEST(Rational, FromStringMessagesNameTheLiteral) {
+  const auto what = [](const std::string& text) {
+    try {
+      (void)Rational::from_string(text);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  EXPECT_EQ(what("abc"), "malformed rational literal: 'abc'");
+  EXPECT_EQ(what("3/4x"), "malformed rational literal: '3/4x' (trailing characters)");
+  EXPECT_EQ(what("99999999999999999999x"),
+            "rational literal out of range: '99999999999999999999x'");
+  EXPECT_EQ(what("1/-99999999999999999999"),
+            "rational literal out of range: '1/-99999999999999999999'");
 }
 
 TEST(Rational, OverflowDetectedInAddition) {

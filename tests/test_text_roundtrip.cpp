@@ -131,6 +131,80 @@ TEST(TextRoundTrip, UnserializableActorNamesRejectedAtWriteTime) {
   EXPECT_TRUE(parsed.graph.find_actor("dsp.core-1").has_value());
 }
 
+// ------------------------------------------------- lexical round trip
+
+/// Re-emits canonical text with the lexical freedom the format allows:
+/// tabs and runs of spaces between tokens, '+'-signed numbers, a
+/// trailing comma in explicit rate sets, trailing comments, comment-only
+/// and blank lines, CRLF line endings and no final line terminator.
+std::string relex(const std::string& canonical) {
+  static const char* const kGaps[] = {"\t", "   ", " \t ", "\t\t"};
+  std::string out = "# generated model\r\n\r\n";
+  std::size_t gap = 0;
+  std::size_t pos = 0;
+  while (pos < canonical.size()) {
+    const std::size_t newline = canonical.find('\n', pos);
+    const std::string line = canonical.substr(pos, newline - pos);
+    pos = newline + 1;
+    std::string relexed = "  ";
+    std::size_t start = 0;
+    while (start <= line.size()) {
+      std::size_t end = line.find(' ', start);
+      end = end == std::string::npos ? line.size() : end;
+      std::string token = line.substr(start, end - start);
+      const std::size_t eq = token.find('=');
+      if (eq != std::string::npos) {
+        std::string value = token.substr(eq + 1);
+        if (value.front() == '{' || value.front() == '[') {
+          std::string signed_set(1, value.front());
+          for (std::size_t i = 1; i < value.size(); ++i) {
+            signed_set += value[i - 1] == value.front() || value[i - 1] == ','
+                              ? "+" + std::string(1, value[i])
+                              : std::string(1, value[i]);
+          }
+          if (value.front() == '{') {
+            signed_set.insert(signed_set.size() - 1, ",");
+          }
+          value = signed_set;
+        } else {
+          value = "+" + value;
+        }
+        token = token.substr(0, eq + 1) + value;
+      }
+      relexed += token + kGaps[gap++ % 4];
+      start = end + 1;
+    }
+    out += relexed + "# trailing comment\r\n";
+  }
+  out.resize(out.size() - 2);  // the last line ends without a terminator
+  return out;
+}
+
+TEST(TextRoundTrip, LexicalVariantsParseToTheCanonicalText) {
+  EXPECT_EQ(relex("vrdf-chain v1\nbuffer a -> b pi={1,2} gamma=[0,3] "
+                  "capacity=4\n"),
+            "# generated model\r\n\r\n  vrdf-chain\tv1   # trailing "
+            "comment\r\n  buffer \t a\t\t->\tb   pi={+1,+2,} \t "
+            "gamma=[+0,+3]\t\tcapacity=+4\t# trailing comment");
+  for (int model_class = 0; model_class < 5; ++model_class) {
+    for (const bool source : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        models::RandomModelSpec spec;
+        spec.model_class = static_cast<models::ModelClass>(model_class);
+        spec.source_constrained = source;
+        spec.seed = seed;
+        const models::SyntheticModel model = models::make_random_model(spec);
+        const std::string canonical =
+            write_chain(model.graph, model.constraints);
+        const std::string variant = relex(canonical);
+        SCOPED_TRACE(variant);
+        const ChainDocument parsed = read_chain(variant);
+        EXPECT_EQ(write_chain(parsed.graph, parsed.constraints), canonical);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------- pinned diagnostics
 
 enum class Kind { Model, Contract };

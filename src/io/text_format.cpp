@@ -65,11 +65,6 @@ Rational parse_rational(std::string_view text, std::size_t line_no,
 /// of RateSet.
 RateSet parse_rate_set(std::string_view text, std::size_t line_no,
                        std::string_view producer, std::string_view consumer) {
-  const auto invalid = [&](const char* reason) {
-    parse_error(line_no, "buffer " + std::string(producer) + " -> " +
-                             std::string(consumer) + ": rate set '" +
-                             std::string(text) + "' " + reason);
-  };
   if (text.size() < 3) {
     parse_error(line_no, "malformed rate set '" + std::string(text) + "'");
   }
@@ -91,32 +86,26 @@ RateSet parse_rate_set(std::string_view text, std::size_t line_no,
     }
     start = comma + 1;
   }
-  if (open == '{' && close == '}') {
-    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-    if (*lo < 0) {
-      invalid("has a negative quantum");
-    }
-    if (*hi == 0) {
-      invalid("needs a positive quantum");
-    }
-    return RateSet::of(std::move(values));
+  const bool is_interval = open == '[' && close == ']';
+  if (!is_interval && !(open == '{' && close == '}')) {
+    parse_error(line_no, "rate sets are '{...}' or '[lo,hi]'");
   }
-  if (open == '[' && close == ']') {
-    if (values.size() != 2) {
-      parse_error(line_no, "an interval needs exactly two bounds");
-    }
-    if (values[0] < 0) {
-      invalid("has a negative quantum");
-    }
-    if (values[1] < values[0]) {
-      invalid("needs lo <= hi");
-    }
-    if (values[1] == 0) {
-      invalid("needs a positive quantum");
-    }
-    return RateSet::interval(values[0], values[1]);
+  if (is_interval && values.size() != 2) {
+    parse_error(line_no, "an interval needs exactly two bounds");
   }
-  parse_error(line_no, "rate sets are '{...}' or '[lo,hi]'");
+  const auto [min, max] = std::minmax_element(values.begin(), values.end());
+  const std::int64_t lo = is_interval ? values[0] : *min;
+  const std::int64_t hi = is_interval ? values[1] : *max;
+  const char* const fault = lo < 0    ? "has a negative quantum"
+                            : hi < lo ? "needs lo <= hi"
+                            : hi == 0 ? "needs a positive quantum"
+                                      : nullptr;
+  if (fault != nullptr) {
+    parse_error(line_no, "buffer " + std::string(producer) + " -> " +
+                             std::string(consumer) + ": rate set '" +
+                             std::string(text) + "' " + fault);
+  }
+  return is_interval ? RateSet::interval(lo, hi) : RateSet::of(std::move(values));
 }
 
 /// The whitespace operator>> splits on in the classic locale; '\r' among

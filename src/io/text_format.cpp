@@ -4,7 +4,7 @@
 #include <cctype>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
+#include <unordered_map>  // det-lint: ok(actor-name index, lookups only)
 #include <vector>
 
 #include "util/checked_int.hpp"
@@ -213,7 +213,7 @@ std::string write_chain(const dataflow::VrdfGraph& graph,
 ChainDocument read_chain(std::string_view text) {
   ChainDocument doc;
   // Actor names by their text in the document, which outlives the parse.
-  std::unordered_map<std::string_view, ActorId> actors;  // det-lint: ok(lookup only, never iterated)
+  std::unordered_map<std::string_view, ActorId> actors;  // det-lint: ok(lookups only, never iterated)
   const auto find_actor = [&actors](std::string_view name) {
     const auto it = actors.find(name);
     return it == actors.end() ? std::nullopt : std::optional(it->second);

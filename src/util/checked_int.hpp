@@ -87,12 +87,13 @@ enum class IntScan { Ok, NoDigits, OutOfRange, Trailing };
 [[nodiscard]] inline IntScan scan_int64(std::string_view text,
                                         std::int64_t& value) {
   const bool sign = !text.empty() && (text[0] == '+' || text[0] == '-');
-  const std::size_t digits = sign ? 1 : 0;
-  if (digits >= text.size() || text[digits] < '0' || text[digits] > '9') {
+  const std::size_t first_digit = sign ? 1 : 0;
+  if (first_digit >= text.size() || text[first_digit] < '0' ||
+      text[first_digit] > '9') {
     return IntScan::NoDigits;
   }
   // from_chars takes a '-' but not a '+'.
-  const char* first = text.data() + (text[0] == '-' ? 0 : digits);
+  const char* first = text.data() + (text[0] == '-' ? 0 : first_digit);
   const char* last = text.data() + text.size();
   const auto [end, error] = std::from_chars(first, last, value);
   if (error == std::errc::result_out_of_range) {

@@ -52,7 +52,8 @@ public:
   [[nodiscard]] std::string to_string() const;
 
   /// Parses "p", "p/q", or a simple decimal literal like "51.2".
-  /// Throws ContractError on malformed input.
+  /// Throws ContractError on malformed input and OverflowError when a
+  /// component or the scaled decimal does not fit int64.
   [[nodiscard]] static Rational from_string(std::string_view text);
 
   [[nodiscard]] Rational operator-() const;

@@ -117,8 +117,8 @@ void BM_FrontierSweep(benchmark::State& state) {
   std::int64_t admitted = 0;
   for (auto _ : state) {
     const sim::FrontierReport report = sweep.run(threads);
-    benchmark::DoNotOptimize(report.total_items);
-    admitted = report.admitted;
+    benchmark::DoNotOptimize(report.total.items);
+    admitted = report.total.admitted;
   }
   state.counters["items"] = static_cast<double>(sweep.items().size());
   state.counters["admitted"] = static_cast<double>(admitted);

@@ -41,9 +41,9 @@ void BM_FleetSweepAggregate(benchmark::State& state) {
   std::int64_t items = 0;
   for (auto _ : state) {
     const sim::FleetReport report = sweep.run(threads);
-    benchmark::DoNotOptimize(report.passed);
+    benchmark::DoNotOptimize(report.total.passed);
     fleet_firings_per_second = report.firings_per_second;
-    items = report.total_items;
+    items = report.total.items;
   }
   state.counters["items"] = static_cast<double>(items);
   state.counters["sim_firings_per_s"] = fleet_firings_per_second;

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     } else {
       std::cout << sim::summary_text(report);
     }
-    return report.failed == 0 && report.rejected == 0 ? 0 : 1;
+    return report.total.failed == 0 && report.total.rejected == 0 ? 0 : 1;
   } catch (const Error& error) {
     std::cerr << "vrdf_fleet: " << error.what() << "\n";
     return 1;

@@ -36,9 +36,11 @@ std::string VrdfGraph::last_mutation() const {
 ActorId VrdfGraph::add_actor(std::string name, Duration response_time) {
   VRDF_REQUIRE(!name.empty(), "actor name must be non-empty");
   VRDF_REQUIRE(response_time.is_positive(), "actor response time must be positive");
-  VRDF_REQUIRE(!find_actor(name).has_value(),
+  const auto slot = actor_index_.lower_bound(name);
+  VRDF_REQUIRE(slot == actor_index_.end() || slot->first != name,
                "actor name '" + name + "' is already in use");
   const ActorId id = topology_.add_node();
+  actor_index_.emplace_hint(slot, name, id);
   actors_.push_back(Actor{std::move(name), response_time});
   record_mutation(Mutation::AddActor, id.index());
   return id;
@@ -91,13 +93,9 @@ std::int64_t VrdfGraph::buffer_capacity(const BufferEdges& buffer) const {
   return edge(buffer.space).initial_tokens + edge(buffer.data).initial_tokens;
 }
 
-std::optional<ActorId> VrdfGraph::find_actor(const std::string& name) const {
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    if (actors_[i].name == name) {
-      return ActorId(static_cast<ActorId::underlying_type>(i));
-    }
-  }
-  return std::nullopt;
+std::optional<ActorId> VrdfGraph::find_actor(std::string_view name) const {
+  const auto it = actor_index_.find(name);
+  return it == actor_index_.end() ? std::nullopt : std::optional(it->second);
 }
 
 std::optional<VrdfGraph::ChainView> VrdfGraph::chain_view() const {

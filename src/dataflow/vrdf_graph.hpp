@@ -15,8 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataflow/rate_set.hpp"
@@ -82,8 +85,8 @@ public:
   [[nodiscard]] std::vector<ActorId> actors() const { return topology_.nodes(); }
   [[nodiscard]] std::vector<EdgeId> edges() const { return topology_.edges(); }
 
-  /// Actor lookup by unique name.
-  [[nodiscard]] std::optional<ActorId> find_actor(const std::string& name) const;
+  /// Actor lookup by unique name, O(log V).
+  [[nodiscard]] std::optional<ActorId> find_actor(std::string_view name) const;
 
   /// Edges entering/leaving an actor.
   [[nodiscard]] std::span<const EdgeId> in_edges(ActorId id) const {
@@ -209,6 +212,8 @@ private:
 
   graph::Digraph topology_;
   std::vector<Actor> actors_;
+  /// Actor names to ids; add_actor keeps it in step with actors_.
+  std::map<std::string, ActorId, std::less<>> actor_index_;
   std::vector<Edge> edges_;
   std::vector<BufferEdges> buffers_;
   std::uint64_t revision_ = 0;

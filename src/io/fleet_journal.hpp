@@ -52,7 +52,7 @@ class FleetJournal {
   [[nodiscard]] bool lookup(std::size_t index,
                             sim::FleetItemResult* result) const;
 
-  /// Appends one finished item and flushes.  Thread-safe: pool workers
+  /// Appends one finished item and flushes.  Thread-safe: sweep workers
   /// call this concurrently.  Recording an out-of-range index is a
   /// contract error; re-recording an index is idempotent (first write
   /// wins on the next load).

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>  // det-lint: ok(actor-name index, lookups only)
 #include <vector>
 
 #include "util/checked_int.hpp"
@@ -14,7 +13,6 @@ namespace vrdf::io {
 
 namespace {
 
-using dataflow::ActorId;
 using dataflow::RateSet;
 
 [[noreturn]] void parse_error(std::size_t line_no, const std::string& message) {
@@ -212,12 +210,6 @@ std::string write_chain(const dataflow::VrdfGraph& graph,
 
 ChainDocument read_chain(std::string_view text) {
   ChainDocument doc;
-  // Actor names by their text in the document, which outlives the parse.
-  std::unordered_map<std::string_view, ActorId> actors;  // det-lint: ok(lookups only, never iterated)
-  const auto find_actor = [&actors](std::string_view name) {
-    const auto it = actors.find(name);
-    return it == actors.end() ? std::nullopt : std::optional(it->second);
-  };
   std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
   bool header_seen = false;
@@ -251,19 +243,18 @@ ChainDocument read_chain(std::string_view text) {
         parse_error(line_no, "rho of actor '" + std::string(tokens[1]) +
                                  "' must be positive");
       }
-      const auto [slot, fresh] = actors.try_emplace(tokens[1]);
-      if (!fresh) {
+      if (doc.graph.find_actor(tokens[1]).has_value()) {
         parse_error(line_no, "duplicate actor '" + std::string(tokens[1]) + "'");
       }
-      slot->second = doc.graph.add_actor(std::string(tokens[1]), Duration(seconds));
+      (void)doc.graph.add_actor(std::string(tokens[1]), Duration(seconds));
     } else if (tokens[0] == "buffer") {
       if (tokens.size() < 6 || tokens[2] != "->") {
         parse_error(line_no,
                     "expected 'buffer <p> -> <c> pi=<set> gamma=<set> "
                     "[capacity=<n>] [delta=<n>]'");
       }
-      const auto producer = find_actor(tokens[1]);
-      const auto consumer = find_actor(tokens[3]);
+      const auto producer = doc.graph.find_actor(tokens[1]);
+      const auto consumer = doc.graph.find_actor(tokens[3]);
       if (!producer.has_value() || !consumer.has_value()) {
         parse_error(line_no, "buffer references an unknown actor");
       }
@@ -311,7 +302,7 @@ ChainDocument read_chain(std::string_view text) {
       if (tokens.size() != 3) {
         parse_error(line_no, "expected 'constraint <actor> period=<seconds>'");
       }
-      const auto actor = find_actor(tokens[1]);
+      const auto actor = doc.graph.find_actor(tokens[1]);
       if (!actor.has_value()) {
         parse_error(line_no, "constraint references an unknown actor");
       }

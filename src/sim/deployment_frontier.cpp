@@ -4,36 +4,21 @@
 #include "sim/deployment_frontier.hpp"
 
 #include <chrono>
-#include <future>
 #include <random>
 #include <sstream>
 #include <utility>
 
 #include "analysis/buffer_sizing.hpp"
 #include "dataflow/rate_set.hpp"
+#include "sim/fleet.hpp"
 #include "sim/verify.hpp"
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 #include "util/seed_stream.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrdf::sim {
 
 namespace {
-
-[[nodiscard]] std::string escape_detail(const std::string& detail) {
-  std::string out;
-  out.reserve(detail.size());
-  for (const char c : detail) {
-    if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\\') {
-      out += "\\\\";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 [[nodiscard]] std::string join_counts(const std::vector<std::int64_t>& values) {
   std::string out;
@@ -274,22 +259,8 @@ FrontierReport FrontierSweep::run(std::size_t threads) const {
   const auto started = std::chrono::steady_clock::now();
   std::vector<FrontierItemResult> results(items_.size());
 
-  const auto work = [&](std::size_t i) { results[i] = run_item(items_[i]); };
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      work(i);
-    }
-  } else {
-    util::ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(items_.size());
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      futures.push_back(pool.submit([&work, i] { work(i); }));
-    }
-    for (std::future<void>& future : futures) {
-      future.get();  // propagate the first worker exception, if any
-    }
-  }
+  util::parallel_for(items_.size(), threads,
+                     [&](std::size_t i) { results[i] = run_item(items_[i]); });
 
   // Merge in item order — the aggregation is independent of which worker
   // finished when, so the report bytes match across thread counts.
@@ -310,22 +281,10 @@ FrontierReport FrontierSweep::run(std::size_t threads) const {
       if (tally.streams == result.item.streams &&
           tally.slot_sixteenths == result.item.slot_sixteenths) {
         tally_item(tally, result);
+        tally_item(report.total, result);
         break;
       }
     }
-  }
-  for (const FrontierCellTally& tally : report.cells) {
-    report.total_items += tally.items;
-    report.admitted += tally.admitted;
-    report.rejected_wheel += tally.rejected_wheel;
-    report.rejected_analysis += tally.rejected_analysis;
-    report.verified += tally.verified;
-    report.starvations += tally.starvations;
-    report.total_capacity += tally.total_capacity;
-    report.firings += tally.firings;
-    report.certified += tally.certified;
-    report.certificate_clauses += tally.certificate_clauses;
-    report.certificate_failures += tally.certificate_failures;
   }
   report.items = std::move(results);
 
@@ -364,20 +323,8 @@ std::string canonical_text(const FrontierReport& report, bool include_items) {
     write_cell_fields(os, tally);
     os << '\n';
   }
-  FrontierCellTally totals;
-  totals.items = report.total_items;
-  totals.admitted = report.admitted;
-  totals.rejected_wheel = report.rejected_wheel;
-  totals.rejected_analysis = report.rejected_analysis;
-  totals.verified = report.verified;
-  totals.starvations = report.starvations;
-  totals.total_capacity = report.total_capacity;
-  totals.firings = report.firings;
-  totals.certified = report.certified;
-  totals.certificate_clauses = report.certificate_clauses;
-  totals.certificate_failures = report.certificate_failures;
   os << "total ";
-  write_cell_fields(os, totals);
+  write_cell_fields(os, report.total);
   os << '\n';
   if (include_items) {
     for (const FrontierItemResult& item : report.items) {

@@ -140,18 +140,9 @@ struct FrontierReport {
   std::vector<FrontierCellTally> cells;
   /// Every item verdict, in item-index order.
   std::vector<FrontierItemResult> items;
-  // Grand totals over `cells`.
-  std::int64_t total_items = 0;
-  std::int64_t admitted = 0;
-  std::int64_t rejected_wheel = 0;
-  std::int64_t rejected_analysis = 0;
-  std::int64_t verified = 0;
-  std::int64_t starvations = 0;
-  std::int64_t total_capacity = 0;
-  std::int64_t firings = 0;
-  std::int64_t certified = 0;
-  std::int64_t certificate_clauses = 0;
-  std::int64_t certificate_failures = 0;
+  /// Every item tallied once more: sums over `cells` (`streams` and
+  /// `slot_sixteenths` stay 0).
+  FrontierCellTally total;
   // ---- wall-clock section: excluded from canonical_text() ----
   double elapsed_seconds = 0.0;
   std::size_t threads_used = 1;
@@ -182,8 +173,8 @@ class FrontierSweep {
   }
 
   /// Runs every item and aggregates.  `threads` <= 1 runs inline on the
-  /// caller; larger values run on a util::ThreadPool of that many
-  /// workers.  The canonical report bytes are identical either way.
+  /// caller; larger values run on that many util::parallel_for workers.
+  /// The canonical report bytes are identical either way.
   [[nodiscard]] FrontierReport run(std::size_t threads = 1) const;
 
   /// Runs one item's pipeline — public for tests and benchmarks.

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <sstream>
 
 #include "analysis/buffer_sizing.hpp"
@@ -14,8 +13,8 @@
 #include "io/fleet_journal.hpp"
 #include "sim/fault_injection.hpp"
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 #include "util/seed_stream.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrdf::sim {
 
@@ -27,19 +26,6 @@ using models::ModelClass;
   return model_class == ModelClass::Chain ||
          model_class == ModelClass::ForkJoin ||
          model_class == ModelClass::Cyclic;
-}
-
-[[nodiscard]] std::string escape_detail(const std::string& detail) {
-  std::string out;
-  out.reserve(detail.size());
-  for (const char c : detail) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 [[nodiscard]] std::string unescape_detail(const std::string& escaped) {
@@ -152,6 +138,19 @@ void write_tally_fields(std::ostringstream& os, const FleetClassTally& t) {
 
 const char* constraint_mode_name(ConstraintMode mode) {
   return mode == ConstraintMode::Sink ? "sink" : "source";
+}
+
+std::string escape_detail(const std::string& detail) {
+  std::string out;
+  out.reserve(detail.size());
+  for (const char c : detail) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  return out;
 }
 
 std::string encode_item_line(const FleetItemResult& result) {
@@ -418,34 +417,17 @@ FleetReport FleetSweep::run(std::size_t threads,
     }
   }
 
+  util::parallel_for(items_.size(), threads, [&](std::size_t i) {
+    if (done[i] == 0) {
+      results[i] = run_item(items_[i]);
+      if (journal != nullptr) {
+        journal->record(results[i]);  // thread-safe append + flush
+      }
+    }
+  });
   std::int64_t fresh_firings = 0;
-  const auto work = [&](std::size_t i) {
-    results[i] = run_item(items_[i]);
-    if (journal != nullptr) {
-      journal->record(results[i]);  // thread-safe append + flush
-    }
-  };
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (!done[i]) {
-        work(i);
-      }
-    }
-  } else {
-    util::ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(items_.size());
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (!done[i]) {
-        futures.push_back(pool.submit([&work, i] { work(i); }));
-      }
-    }
-    for (std::future<void>& future : futures) {
-      future.get();  // propagate the first worker exception, if any
-    }
-  }
   for (std::size_t i = 0; i < items_.size(); ++i) {
-    if (!done[i]) {
+    if (done[i] == 0) {
       fresh_firings += results[i].firings;
     }
   }
@@ -464,26 +446,10 @@ FleetReport FleetSweep::run(std::size_t threads,
     for (FleetClassTally& tally : report.classes) {
       if (tally.model_class == result.item.model_class) {
         tally_item(tally, result);
+        tally_item(report.total, result);
         break;
       }
     }
-  }
-  for (const FleetClassTally& tally : report.classes) {
-    report.total_items += tally.items;
-    report.passed += tally.passed;
-    report.failed += tally.failed;
-    report.rejected += tally.rejected;
-    report.starvations += tally.starvations;
-    report.total_capacity += tally.total_capacity;
-    report.firings += tally.firings;
-    if (tally.worst_lateness > report.worst_lateness) {
-      report.worst_lateness = tally.worst_lateness;
-    }
-    report.faults_expected += tally.faults_expected;
-    report.faults_named += tally.faults_named;
-    report.certified += tally.certified;
-    report.certificate_clauses += tally.certificate_clauses;
-    report.certificate_failures += tally.certificate_failures;
   }
   report.items = std::move(results);
 
@@ -508,22 +474,8 @@ std::string canonical_text(const FleetReport& report, bool include_items) {
     write_tally_fields(os, tally);
     os << '\n';
   }
-  FleetClassTally totals;
-  totals.items = report.total_items;
-  totals.passed = report.passed;
-  totals.failed = report.failed;
-  totals.rejected = report.rejected;
-  totals.starvations = report.starvations;
-  totals.total_capacity = report.total_capacity;
-  totals.firings = report.firings;
-  totals.worst_lateness = report.worst_lateness;
-  totals.faults_expected = report.faults_expected;
-  totals.faults_named = report.faults_named;
-  totals.certified = report.certified;
-  totals.certificate_clauses = report.certificate_clauses;
-  totals.certificate_failures = report.certificate_failures;
   os << "total ";
-  write_tally_fields(os, totals);
+  write_tally_fields(os, report.total);
   os << '\n';
   if (include_items) {
     for (const FleetItemResult& item : report.items) {

@@ -1,13 +1,13 @@
 // Fleet-scale parallel verification: a sharded sweep harness that runs
-// thousands of generate → analyze → two-phase-verify pipelines on a
-// thread pool and aggregates the verdicts into one report.
+// thousands of generate → analyze → two-phase-verify pipelines across
+// worker threads and aggregates the verdicts into one report.
 //
 // The randomized sweeps of PRs 2–7 validate the paper's analysis on
 // 40–60 graphs per model class — a coverage ceiling set by one core, not
 // a confidence target.  FleetSweep lifts that ceiling: a SweepSpec
 // expands into independent work items (model classes × seed ordinals ×
 // headroom levels × sink/source modes), each item runs its whole
-// pipeline in isolation on a util::ThreadPool worker, and the results
+// pipeline in isolation on a util::parallel_for worker, and the results
 // merge into a FleetReport.
 //
 // Determinism rules — the report's canonical serialization is
@@ -16,7 +16,7 @@
 //    rng_seed = util::derive_seed(base_seed, item index).  No item reads
 //    another item's state, a worker-local counter, or a thread id.
 //  * Items write only their own pre-allocated result slot; results merge
-//    in item-index order after the pool drains.
+//    in item-index order after every worker has joined.
 //  * Wall-clock metrics (elapsed seconds, firings/s, threads, resumed
 //    count) live in FleetReport but are excluded from canonical_text().
 //
@@ -98,7 +98,7 @@ struct SweepSpec {
   bool certify = false;
   /// Optional custom generator (e.g. to preserve a published per-seed
   /// shape schedule).  Must be a *pure* function of the item — it is
-  /// called concurrently from pool workers.  Return the bare model
+  /// called concurrently from sweep workers.  Return the bare model
   /// (scaled response times, no capacities installed); the fleet
   /// analyzes, installs capacities plus the item's headroom, and
   /// verifies.  When unset, models::make_random_model(item.rng_seed)
@@ -145,7 +145,12 @@ struct FleetItemResult {
 [[nodiscard]] bool decode_item_line(const std::string& line,
                                     FleetItemResult* result);
 
-/// Per-class aggregation, in SweepSpec::classes order.
+/// Escapes backslashes and newlines so a free-text `detail` closes a
+/// one-line record (the fleet and frontier item codecs share it).
+[[nodiscard]] std::string escape_detail(const std::string& detail);
+
+/// Per-class aggregation, in SweepSpec::classes order; also the report's
+/// grand total, where `model_class` carries no meaning.
 struct FleetClassTally {
   models::ModelClass model_class = models::ModelClass::Chain;
   std::int64_t items = 0;
@@ -173,20 +178,8 @@ struct FleetReport {
   std::vector<FleetClassTally> classes;
   /// Every item verdict, in item-index order.
   std::vector<FleetItemResult> items;
-  // Grand totals (sums/maxima over `classes`).
-  std::int64_t total_items = 0;
-  std::int64_t passed = 0;
-  std::int64_t failed = 0;
-  std::int64_t rejected = 0;
-  std::int64_t starvations = 0;
-  std::int64_t total_capacity = 0;
-  std::int64_t firings = 0;
-  Duration worst_lateness;
-  std::int64_t faults_expected = 0;
-  std::int64_t faults_named = 0;
-  std::int64_t certified = 0;
-  std::int64_t certificate_clauses = 0;
-  std::int64_t certificate_failures = 0;
+  /// Every item tallied once more: sums/maxima over `classes`.
+  FleetClassTally total;
   // ---- wall-clock section: excluded from canonical_text() ----
   double elapsed_seconds = 0.0;
   double firings_per_second = 0.0;
@@ -221,14 +214,14 @@ class FleetSweep {
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Runs every item and aggregates.  `threads` <= 1 runs inline on the
-  /// caller (no pool, byte-identical to the pre-fleet loops); larger
-  /// values run on a pool of that many workers.  With a journal,
+  /// caller (byte-identical to the pre-fleet loops); larger values run on
+  /// that many util::parallel_for workers.  With a journal,
   /// already-recorded items are merged without recompute and new results
   /// are appended as they finish.
   [[nodiscard]] FleetReport run(std::size_t threads = 1,
                                 io::FleetJournal* journal = nullptr) const;
 
-  /// Runs one item's pipeline — the unit the pool executes, public for
+  /// Runs one item's pipeline — the unit a worker executes, public for
   /// per-item overhead benchmarking and tests.
   [[nodiscard]] FleetItemResult run_item(const FleetItem& item) const;
 

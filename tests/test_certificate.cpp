@@ -723,9 +723,9 @@ TEST(CertificateAcceptance, RandomizedSweepsCertifyWithZeroFalseRejections) {
     spec.certify = true;
     const sim::FleetSweep sweep(spec);
     const sim::FleetReport report = sweep.run(2);
-    EXPECT_EQ(report.certificate_failures, 0)
+    EXPECT_EQ(report.total.certificate_failures, 0)
         << (faulted ? "faulted" : "plain") << " sweep";
-    EXPECT_GT(report.certified, 0);
+    EXPECT_GT(report.total.certified, 0);
     for (const sim::FleetItemResult& item : report.items) {
       if (item.certificate_clauses > 0) {
         EXPECT_TRUE(item.certificate_ok)

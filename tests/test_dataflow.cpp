@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "dataflow/csdf_graph.hpp"
 #include "dataflow/rate_set.hpp"
@@ -110,6 +112,27 @@ TEST(VrdfGraph, FindActorByName) {
   const ActorId a = g.add_actor("vMP3", kRho);
   EXPECT_EQ(g.find_actor("vMP3"), a);
   EXPECT_FALSE(g.find_actor("nope").has_value());
+}
+
+TEST(VrdfGraph, NameIndexScalesToThousandsOfActors) {
+  constexpr std::size_t kActors = 5000;
+  VrdfGraph g;
+  std::vector<ActorId> ids;
+  for (std::size_t i = 0; i < kActors; ++i) {
+    ids.push_back(g.add_actor("actor" + std::to_string(i), kRho));
+  }
+  for (std::size_t i = 0; i < kActors; ++i) {
+    EXPECT_EQ(g.find_actor("actor" + std::to_string(i)), ids[i]);
+  }
+  EXPECT_THROW(g.add_actor("actor1234", kRho), ContractError);
+  EXPECT_EQ(g.actor_count(), kActors);
+  EXPECT_FALSE(g.find_actor("actor5000").has_value());
+
+  // The index is part of the graph's value: a copy grows on its own.
+  VrdfGraph copy = g;
+  const ActorId extra = copy.add_actor("actor5000", kRho);
+  EXPECT_EQ(copy.find_actor("actor5000"), extra);
+  EXPECT_FALSE(g.find_actor("actor5000").has_value());
 }
 
 TEST(VrdfGraph, SetInitialTokens) {

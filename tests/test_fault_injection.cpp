@@ -699,14 +699,14 @@ TEST(RandomizedSweep, WithinMarginFaultsNeverStarvePhase2) {
   spec.observe_firings = 200;
   spec.faulted = true;
   const sim::FleetReport report = sim::FleetSweep(spec).run(4);
-  EXPECT_EQ(report.total_items, 400);
-  ASSERT_EQ(report.passed, report.total_items) << sim::canonical_text(report);
-  EXPECT_EQ(report.starvations, 0);
+  EXPECT_EQ(report.total.items, 400);
+  ASSERT_EQ(report.total.passed, report.total.items) << sim::canonical_text(report);
+  EXPECT_EQ(report.total.starvations, 0);
 
   // The monitor still names the contract breach even though the
   // constraint held — for every item whose injected margin was positive.
-  EXPECT_GT(report.faults_expected, 0);
-  EXPECT_EQ(report.faults_named, report.faults_expected)
+  EXPECT_GT(report.total.faults_expected, 0);
+  EXPECT_EQ(report.total.faults_named, report.total.faults_expected)
       << sim::canonical_text(report);
 }
 

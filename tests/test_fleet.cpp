@@ -1,11 +1,11 @@
-// Fleet-scale parallel verification: the thread pool, the deterministic
+// Fleet-scale parallel verification: the parallel loop, the deterministic
 // seed-derivation helper, the sharded sweep harness and its resumable
 // journal.
 //
 // The load-bearing property is *scheduling-independence*: a FleetSweep
 // report's canonical serialization must be bit-identical whether the
 // sweep ran on 1, 2 or 8 workers, and whether it ran straight through or
-// was interrupted and resumed from its journal.  Everything else (pool
+// was interrupted and resumed from its journal.  Everything else (loop
 // semantics, codec round-trips, published seed streams) exists to defend
 // that property.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -23,8 +24,8 @@
 #include "sim/fleet.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/parallel_for.hpp"
 #include "util/seed_stream.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrdf {
 namespace {
@@ -35,62 +36,63 @@ using sim::FleetItemResult;
 using sim::FleetReport;
 using sim::FleetSweep;
 using sim::SweepSpec;
-using util::ThreadPool;
+using util::parallel_for;
 
-// ------------------------------------------------------------ thread pool
+// ---------------------------------------------------------- parallel loop
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
+/// Runs parallel_for over [0, n) and returns how often each index ran.
+std::vector<int> run_counts(std::size_t n, std::size_t threads) {
+  std::vector<std::atomic<int>> counts(n);
+  parallel_for(n, threads, [&counts](std::size_t i) { ++counts[i]; });
+  std::vector<int> out;
+  for (const std::atomic<int>& count : counts) {
+    out.push_back(count.load());
   }
-  for (auto& future : futures) {
-    future.get();
-  }
-  EXPECT_EQ(counter.load(), 100);
+  return out;
 }
 
-TEST(ThreadPool, PropagatesTaskExceptionsThroughTheFuture) {
-  ThreadPool pool(2);
-  std::future<void> bad =
-      pool.submit([] { throw ModelError("intentional test failure"); });
-  std::future<void> good = pool.submit([] {});
-  EXPECT_THROW(bad.get(), ModelError);
-  good.get();  // a throwing sibling must not poison other tasks
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    EXPECT_EQ(run_counts(100, threads), std::vector<int>(100, 1))
+        << threads << " threads";
+  }
+  // More threads than items, and no items at all.
+  EXPECT_EQ(run_counts(3, 8), std::vector<int>(3, 1));
+  for (const std::size_t threads : {0u, 1u, 8u}) {
+    EXPECT_TRUE(run_counts(0, threads).empty());
+  }
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilAllTasksFinished) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 24; ++i) {
-    (void)pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++done;
+TEST(ParallelFor, OneThreadRunsInOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t threads : {0u, 1u}) {
+    std::vector<std::size_t> order;
+    parallel_for(5, threads, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
     });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 24);
 }
 
-TEST(ThreadPool, DestructorDrainsTheQueueDeterministically) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      (void)pool.submit([&done] { ++done; });
+TEST(ParallelFor, RunsEveryItemAndRethrowsTheLowestIndexException) {
+  for (const std::size_t threads : {2u, 8u}) {
+    std::vector<std::atomic<int>> counts(40);
+    try {
+      parallel_for(counts.size(), threads, [&counts](std::size_t i) {
+        ++counts[i];
+        if (i == 7 || i == 21 || i == 38) {
+          throw ModelError("item " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "no exception escaped at " << threads << " threads";
+    } catch (const ModelError& error) {
+      EXPECT_STREQ(error.what(), "item 7") << threads << " threads";
     }
-    // Destructor runs here: every queued task must still execute.
+    for (const std::atomic<int>& count : counts) {
+      EXPECT_EQ(count.load(), 1) << threads << " threads";
+    }
   }
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, RejectsZeroWorkersAndEmptyTasks) {
-  EXPECT_THROW(ThreadPool pool(0), ContractError);
-  ThreadPool pool(1);
-  EXPECT_THROW((void)pool.submit(std::function<void()>{}), ContractError);
 }
 
 // ------------------------------------------------------- seed derivation
@@ -119,17 +121,11 @@ TEST(Log, ConcurrentEmitsNeverInterleaveMidLine) {
   std::streambuf* previous = std::cerr.rdbuf(captured.rdbuf());
   const log::Level saved = log::level();
   log::set_level(log::Level::Info);
-  {
-    ThreadPool pool(8);
-    for (int t = 0; t < 8; ++t) {
-      (void)pool.submit([t] {
-        for (int i = 0; i < 50; ++i) {
-          VRDF_LOG(Info) << "worker " << t << " line " << i << " payload";
-        }
-      });
+  parallel_for(8, 8, [](std::size_t t) {
+    for (int i = 0; i < 50; ++i) {
+      VRDF_LOG(Info) << "worker " << t << " line " << i << " payload";
     }
-    pool.wait_idle();
-  }
+  });
   log::set_level(saved);
   std::cerr.rdbuf(previous);
 
@@ -178,16 +174,16 @@ TEST(FleetSweep, ExpansionSkipsSourceModeForSinkOnlyClasses) {
 TEST(FleetSweep, ReportIsBitIdenticalAcrossThreadCounts) {
   const FleetSweep sweep(mixed_spec());
   const FleetReport reference = sweep.run(1);
-  EXPECT_EQ(reference.total_items,
+  EXPECT_EQ(reference.total.items,
             static_cast<std::int64_t>(sweep.items().size()));
-  EXPECT_EQ(reference.failed, 0) << sim::canonical_text(reference);
-  EXPECT_EQ(reference.rejected, 0) << sim::canonical_text(reference);
-  EXPECT_EQ(reference.starvations, 0);
-  EXPECT_GT(reference.firings, 0);
-  EXPECT_GT(reference.total_capacity, 0);
+  EXPECT_EQ(reference.total.failed, 0) << sim::canonical_text(reference);
+  EXPECT_EQ(reference.total.rejected, 0) << sim::canonical_text(reference);
+  EXPECT_EQ(reference.total.starvations, 0);
+  EXPECT_GT(reference.total.firings, 0);
+  EXPECT_GT(reference.total.total_capacity, 0);
 
   const std::string canonical = sim::canonical_text(reference);
-  for (const std::size_t threads : {2u, 8u}) {
+  for (const std::size_t threads : {2u, 4u, 8u}) {
     const FleetReport parallel = sweep.run(threads);
     EXPECT_EQ(sim::canonical_text(parallel), canonical)
         << "thread count " << threads << " changed the report bytes";
@@ -204,13 +200,13 @@ TEST(FleetSweep, FaultedSweepHoldsConstraintsAndNamesEveryBreach) {
   spec.faulted = true;
   const FleetSweep sweep(spec);
   const FleetReport report = sweep.run(2);
-  EXPECT_EQ(report.failed, 0) << sim::canonical_text(report);
-  EXPECT_EQ(report.rejected, 0) << sim::canonical_text(report);
-  EXPECT_EQ(report.starvations, 0);
+  EXPECT_EQ(report.total.failed, 0) << sim::canonical_text(report);
+  EXPECT_EQ(report.total.rejected, 0) << sim::canonical_text(report);
+  EXPECT_EQ(report.total.starvations, 0);
   // Wherever a positive margin was injected, the monitor attributed the
   // ρ breach to the faulted actor.
-  EXPECT_EQ(report.faults_named, report.faults_expected);
-  EXPECT_GT(report.faults_expected, 0);
+  EXPECT_EQ(report.total.faults_named, report.total.faults_expected);
+  EXPECT_GT(report.total.faults_expected, 0);
   // Faulted mode is part of the determinism contract too.
   EXPECT_EQ(sim::canonical_text(sweep.run(8)), sim::canonical_text(report));
 }
@@ -232,9 +228,29 @@ TEST(FleetSweep, CustomGeneratorsRideThePipeline) {
   };
   const FleetSweep sweep(spec);
   const FleetReport report = sweep.run(2);
-  EXPECT_EQ(report.passed, 5);
-  EXPECT_EQ(report.failed + report.rejected, 0) << sim::canonical_text(report);
+  EXPECT_EQ(report.total.passed, 5);
+  EXPECT_EQ(report.total.failed + report.total.rejected, 0) << sim::canonical_text(report);
   EXPECT_NE(report.spec_summary.find("generator=custom"), std::string::npos);
+}
+
+TEST(FleetSweep, NonLibraryGeneratorExceptionsPropagateAtAnyThreadCount) {
+  // run_item turns a vrdf::Error into a rejected item; anything else is a
+  // caller bug and must reach the caller of run(), not vanish in a worker.
+  SweepSpec spec;
+  spec.classes = {ModelClass::Chain};
+  spec.seeds_per_class = 6;
+  spec.observe_firings = 60;
+  spec.generator = [](const sim::FleetItem& item) {
+    if (item.seed_ordinal == 4) {
+      throw std::runtime_error("generator bug on seed 4");
+    }
+    return models::make_random_model(models::RandomModelSpec{});
+  };
+  const FleetSweep sweep(spec);
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_THROW((void)sweep.run(threads), std::runtime_error)
+        << threads << " threads";
+  }
 }
 
 // ------------------------------------------------------- item-line codec
@@ -310,35 +326,40 @@ class TempPath {
 TEST(FleetJournal, ResumedRunMatchesUninterruptedBytes) {
   const FleetSweep sweep(mixed_spec());
   const std::string uninterrupted = sim::canonical_text(sweep.run(2));
+  const std::size_t half = sweep.items().size() / 2;
 
-  // Simulate the interrupt: journal only a prefix of the items, as if the
-  // process died mid-sweep...
-  TempPath path("fleet_resume.journal");
-  {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    // Simulate the interrupt: journal only a prefix of the items, as if
+    // the process died mid-sweep...
+    TempPath path("fleet_resume.journal");
+    {
+      io::FleetJournal journal(path.str(), sweep.fingerprint(),
+                               sweep.items().size());
+      for (std::size_t i = 0; i < half; ++i) {
+        journal.record(sweep.run_item(sweep.items()[i]));
+      }
+      EXPECT_EQ(journal.completed(), half);
+    }
+    // ...then resume: the journaled half merges back without recompute
+    // and the report bytes match the uninterrupted run exactly.
     io::FleetJournal journal(path.str(), sweep.fingerprint(),
                              sweep.items().size());
-    for (std::size_t i = 0; i < sweep.items().size() / 2; ++i) {
-      journal.record(sweep.run_item(sweep.items()[i]));
-    }
-    EXPECT_EQ(journal.completed(), sweep.items().size() / 2);
-  }
-  // ...then resume: the journaled half merges back without recompute and
-  // the report bytes match the uninterrupted run exactly.
-  io::FleetJournal journal(path.str(), sweep.fingerprint(),
-                           sweep.items().size());
-  EXPECT_EQ(journal.completed(), sweep.items().size() / 2);
-  const FleetReport resumed = sweep.run(8, &journal);
-  EXPECT_EQ(resumed.items_resumed, sweep.items().size() / 2);
-  EXPECT_EQ(sim::canonical_text(resumed), uninterrupted);
-  EXPECT_EQ(journal.completed(), sweep.items().size());
+    EXPECT_EQ(journal.completed(), half);
+    const FleetReport resumed = sweep.run(threads, &journal);
+    EXPECT_EQ(resumed.items_resumed, half) << threads << " threads";
+    EXPECT_EQ(sim::canonical_text(resumed), uninterrupted)
+        << threads << " threads";
+    EXPECT_EQ(journal.completed(), sweep.items().size());
 
-  // A third pass finds everything journaled: zero recompute, same bytes.
-  io::FleetJournal full(path.str(), sweep.fingerprint(),
-                        sweep.items().size());
-  EXPECT_EQ(full.completed(), sweep.items().size());
-  const FleetReport replayed = sweep.run(1, &full);
-  EXPECT_EQ(replayed.items_resumed, sweep.items().size());
-  EXPECT_EQ(sim::canonical_text(replayed), uninterrupted);
+    // A third pass finds everything journaled: zero recompute, same bytes.
+    io::FleetJournal full(path.str(), sweep.fingerprint(),
+                          sweep.items().size());
+    EXPECT_EQ(full.completed(), sweep.items().size());
+    const FleetReport replayed = sweep.run(threads, &full);
+    EXPECT_EQ(replayed.items_resumed, sweep.items().size());
+    EXPECT_EQ(sim::canonical_text(replayed), uninterrupted)
+        << threads << " threads";
+  }
 }
 
 TEST(FleetJournal, TornTrailingLineIsDroppedAndRerun) {

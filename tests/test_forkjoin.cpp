@@ -325,10 +325,10 @@ TEST(ForkJoinSufficiency, RandomGraphsSustainPeriodicExecution) {
     return model;
   };
   const sim::FleetReport report = sim::FleetSweep(spec).run(4);
-  EXPECT_EQ(report.total_items, 100);
-  EXPECT_EQ(report.passed, report.total_items) << sim::canonical_text(report);
-  EXPECT_EQ(report.failed + report.rejected, 0);
-  EXPECT_EQ(report.starvations, 0);
+  EXPECT_EQ(report.total.items, 100);
+  EXPECT_EQ(report.total.passed, report.total.items) << sim::canonical_text(report);
+  EXPECT_EQ(report.total.failed + report.total.rejected, 0);
+  EXPECT_EQ(report.total.starvations, 0);
 
   // The structural claim the old loop also made: the generated graphs
   // really leave chain-land (the fleet only checks the verdicts).

@@ -454,10 +454,10 @@ TEST(MultiConstraint, RandomMultiSinkGraphsSustainPeriodicExecution) {
     return model;
   };
   const sim::FleetReport report = sim::FleetSweep(spec).run(4);
-  EXPECT_EQ(report.total_items, 60);
-  EXPECT_EQ(report.passed, report.total_items) << sim::canonical_text(report);
-  EXPECT_EQ(report.failed + report.rejected, 0);
-  EXPECT_EQ(report.starvations, 0);
+  EXPECT_EQ(report.total.items, 60);
+  EXPECT_EQ(report.total.passed, report.total.items) << sim::canonical_text(report);
+  EXPECT_EQ(report.total.failed + report.total.rejected, 0);
+  EXPECT_EQ(report.total.starvations, 0);
 
   // The structural claim the old loop also made: each generated graph
   // really carries at least two sinks (the fleet only checks verdicts).

@@ -56,11 +56,11 @@ TEST(RandomChainSweep, FleetVerifiesComputedCapacitiesAtScale) {
   spec.response_fraction = Rational(3, 4);
   spec.observe_firings = 800;
   const sim::FleetReport report = sim::FleetSweep(spec).run(4);
-  EXPECT_EQ(report.total_items, 128);
-  EXPECT_EQ(report.passed, report.total_items)
+  EXPECT_EQ(report.total.items, 128);
+  EXPECT_EQ(report.total.passed, report.total.items)
       << sim::canonical_text(report);
-  EXPECT_EQ(report.failed + report.rejected, 0);
-  EXPECT_EQ(report.starvations, 0);
+  EXPECT_EQ(report.total.failed + report.total.rejected, 0);
+  EXPECT_EQ(report.total.starvations, 0);
 }
 
 TEST(VideoPipeline, AdmissibleAndVerified) {

@@ -11,10 +11,17 @@
 //                    when no int64 tick scale exists.
 //
 // Both representations are exact, so a run produces bit-for-bit identical
-// firing records, metrics and end times under either clock (the
-// tick/Rational equivalence test in tests/test_tick_clock.cpp asserts
-// this).  Rational values only appear at recording and reporting
-// boundaries (records, starvations, snapshots, metrics accessors).
+// firing records, metrics, timing grades and end times under either clock
+// (the tick/Rational equivalence tests in tests/test_tick_clock.cpp and
+// tests/test_grading.cpp assert this).  Rational values only appear at
+// recording and reporting boundaries (records, starvations, snapshots,
+// metrics and grade accessors, kept ρ overruns).
+//
+// Timing grades (GradingRequest) are kept at each firing's finish on the
+// engine's own clock: a periodic-grid grade per requested actor (the
+// phase-1 offset fit of sim/verify.cpp and the monitor's anchored-grid
+// lateness) and, when requested, every actor's duration against its
+// declared ρ (the monitor's contract check).
 //
 // Enabling is incremental: instead of re-scanning all actors to a fixed
 // point after every event (O(actors^2) per event on chains), a dirty-actor
@@ -54,6 +61,10 @@ struct RationalClock {
   [[nodiscard]] static Time mul_int(const Time& a, std::int64_t k) {
     return a * Rational(k);
   }
+  [[nodiscard]] static std::optional<Time> try_mul_int(const Time& a,
+                                                       std::int64_t k) {
+    return a * Rational(k);
+  }
 };
 
 struct TickClock {
@@ -70,6 +81,14 @@ struct TickClock {
   [[nodiscard]] static Time sub(Time a, Time b) { return checked_sub(a, b); }
   [[nodiscard]] static Time mul_int(Time a, std::int64_t k) {
     return checked_mul(a, k);
+  }
+  /// a·k, or nullopt when the product leaves int64.
+  [[nodiscard]] static std::optional<Time> try_mul_int(Time a, std::int64_t k) {
+    Time out = 0;
+    if (__builtin_mul_overflow(a, k, &out)) {
+      return std::nullopt;
+    }
+    return out;
   }
 };
 
@@ -131,6 +150,7 @@ public:
     actor_metrics_.resize(n_actors);
     actor_times_.resize(n_actors);
     firing_records_.resize(n_actors);
+    rho_grades_.resize(n_actors);
     production_records_.resize(n_edges);
     consumption_records_.resize(n_edges);
     transfer_recording_ = std::move(config.transfer_recording);
@@ -208,6 +228,15 @@ public:
     transfer_recording_ = std::move(other.transfer_recording_);
     transfer_caps_ = std::move(other.transfer_caps_);
     starvations_ = std::move(other.starvations_);
+    grade_rho_ = other.grade_rho_;
+    rho_event_cap_ = other.rho_event_cap_;
+    rho_grades_ = std::move(other.rho_grades_);
+    grids_.reserve(other.grids_.size());
+    for (const auto& g : other.grids_) {
+      grids_.push_back(GridState{cv(g.period), cv(g.tolerance), g.max_firings,
+                                 g.graded, g.anchor_index, cv(g.anchor_start),
+                                 cv(g.max_lateness), g.late, g.first_late});
+    }
 
     actor_times_.resize(other.actor_times_.size());
     for (std::size_t i = 0; i < other.actor_times_.size(); ++i) {
@@ -246,6 +275,7 @@ public:
       }
       dst.record = src.record;
       dst.record_cap = src.record_cap;
+      dst.grid = src.grid;
       dst.busy = src.busy;
       dst.quanta_drawn = src.quanta_drawn;
       dst.started = src.started;
@@ -354,6 +384,20 @@ public:
   void record_transfers(dataflow::EdgeId edge, std::size_t max_records) {
     transfer_recording_[edge.index()] = 1;
     transfer_caps_[edge.index()] = max_records;
+  }
+
+  /// Installs a grading request Simulator::request_grading validated (no
+  /// grid names an actor that already has one).
+  void request_grading(const GradingRequest& request) {
+    for (const GradingRequest::Grid& grid : request.grids) {
+      actors_[grid.actor.index()].grid = grids_.size();
+      GridState& g = grids_.emplace_back();
+      g.period = clock_.from_rational(grid.period.seconds());
+      g.tolerance = clock_.from_rational(grid.tolerance.seconds());
+      g.max_firings = grid.max_firings;
+    }
+    grade_rho_ = grade_rho_ || request.rho;
+    rho_event_cap_ = std::max(rho_event_cap_, request.rho_events);
   }
 
   // --------------------------------------------------------------- run
@@ -474,6 +518,29 @@ public:
     return firing_records_[actor.index()];
   }
 
+  [[nodiscard]] GridGrade grid_grade(dataflow::ActorId actor) const {
+    GridGrade grade;
+    const std::size_t index = actors_[actor.index()].grid;
+    if (index == kNoGrid) {
+      return grade;
+    }
+    const GridState& g = grids_[index];
+    grade.graded = g.graded;
+    grade.late = g.late;
+    grade.first_late = g.first_late;
+    if (g.graded > 0) {
+      grade.anchor = TimePoint(clock_.to_rational(g.anchor_start) -
+                               clock_.to_rational(g.period) *
+                                   Rational(g.anchor_index));
+      grade.max_lateness = Duration(clock_.to_rational(g.max_lateness));
+    }
+    return grade;
+  }
+
+  [[nodiscard]] const RhoGrade& rho_grade(dataflow::ActorId actor) const {
+    return rho_grades_[actor.index()];
+  }
+
   [[nodiscard]] const std::vector<EdgeTransfer>& production_events(
       dataflow::EdgeId edge) const {
     return production_records_[edge.index()];
@@ -497,6 +564,24 @@ private:
     std::int64_t burst_period = 0;
   };
 
+  /// Clock-typed form of one GradingRequest::Grid and its running grade.
+  /// Lateness is kept relative to the first graded firing j, as
+  /// (start_k − start_j) − (k − j)·period, so no intermediate term is
+  /// farther from zero than the run's own times or grid.
+  struct GridState {
+    Time period{};
+    Time tolerance{};
+    std::int64_t max_firings = 0;
+    std::int64_t graded = 0;
+    std::int64_t anchor_index = 0;
+    Time anchor_start{};
+    Time max_lateness{};
+    std::int64_t late = 0;
+    std::optional<std::int64_t> first_late;
+  };
+
+  static constexpr std::size_t kNoGrid = static_cast<std::size_t>(-1);
+
   struct ActorState {
     // Static (per configuration).
     std::vector<Port> ports;
@@ -515,6 +600,7 @@ private:
     std::unordered_map<std::int64_t, Time> release_delays;
     bool record = false;
     std::size_t record_cap = 0;
+    std::size_t grid = kNoGrid;  // index into grids_
     // Runtime.
     bool busy = false;
     bool quanta_drawn = false;
@@ -868,7 +954,58 @@ private:
           FiringRecord{actor, state.finished - 1,
                        to_time_point(state.active_start), to_time_point(now_)});
     }
+    if (state.grid != kNoGrid) {
+      grade_grid(grids_[state.grid], state.finished - 1, state.active_start);
+    }
+    if (grade_rho_) {
+      grade_rho(actor, state);
+    }
     mark_dirty(actor);
+  }
+
+  /// Grades finished firing k (started at `start`) against its grid.
+  static void grade_grid(GridState& g, std::int64_t k, const Time& start) {
+    if (g.graded >= g.max_firings) {
+      return;
+    }
+    if (g.graded++ == 0) {
+      // The anchor itself is on its slot: lateness zero, never late.
+      g.anchor_index = k;
+      g.anchor_start = start;
+      return;
+    }
+    // A slot offset past int64 lies far beyond the start: the firing is
+    // early and can neither raise the maximum nor be late.
+    const std::optional<Time> slot =
+        Clock::try_mul_int(g.period, k - g.anchor_index);
+    if (!slot.has_value()) {
+      return;
+    }
+    const Time lateness = Clock::sub(Clock::sub(start, g.anchor_start), *slot);
+    if (g.max_lateness < lateness) {
+      g.max_lateness = lateness;
+    }
+    if (g.tolerance < lateness) {
+      ++g.late;
+      if (!g.first_late.has_value()) {
+        g.first_late = k;
+      }
+    }
+  }
+
+  /// Counts the firing that just finished when it outlasted the declared
+  /// ρ (state.rho: jitter and faults only change the drawn duration).
+  void grade_rho(dataflow::ActorId actor, const ActorState& state) {
+    const Time observed = Clock::sub(now_, state.active_start);
+    if (!(state.rho < observed)) {
+      return;
+    }
+    RhoGrade& grade = rho_grades_[actor.index()];
+    ++grade.overruns;
+    if (grade.first.size() < rho_event_cap_) {
+      grade.first.push_back(RhoOverrun{
+          state.finished - 1, Duration(clock_.to_rational(observed))});
+    }
   }
 
   void add_tokens(dataflow::EdgeId edge, std::int64_t count) {
@@ -915,6 +1052,10 @@ private:
   std::vector<std::size_t> transfer_caps_;
   std::vector<Starvation> starvations_;
   std::int64_t total_firings_ = 0;
+  std::vector<GridState> grids_;
+  bool grade_rho_ = false;
+  std::size_t rho_event_cap_ = 0;
+  std::vector<RhoGrade> rho_grades_;  // per actor id
 };
 
 }  // namespace vrdf::sim::detail

@@ -108,9 +108,8 @@ ConformanceMonitor::ConformanceMonitor(const dataflow::VrdfGraph& graph,
     : graph_(&graph),
       constraints_(std::move(constraints)),
       options_(options),
-      rho_cursor_(graph.actor_count(), 0),
-      grid_cursor_(constraints_.size(), 0),
-      grid_anchor_(constraints_.size()),
+      rho_seen_(graph.actor_count(), 0),
+      late_seen_(constraints_.size(), 0),
       starvation_cursor_(constraints_.size(), 0) {
   report_.constraints.reserve(constraints_.size());
   for (const analysis::ThroughputConstraint& c : constraints_) {
@@ -125,12 +124,21 @@ ConformanceMonitor::ConformanceMonitor(const dataflow::VrdfGraph& graph,
 }
 
 void ConformanceMonitor::attach(Simulator& sim) const {
-  for (const ActorId a : graph_->actors()) {
-    sim.record_firings(a, options_.record_cap);
+  VRDF_REQUIRE(&sim.graph() == graph_,
+               "monitor attached to a simulator of another graph");
+  GradingRequest request;
+  request.rho = true;
+  request.rho_events = options_.max_events;
+  for (const analysis::ThroughputConstraint& c : constraints_) {
+    request.grids.push_back(GradingRequest::Grid{c.actor, c.period,
+                                                 options_.lateness_tolerance});
   }
+  sim.request_grading(request);
 }
 
 void ConformanceMonitor::observe(const Simulator& sim, const RunResult& run) {
+  VRDF_REQUIRE(&sim.graph() == graph_,
+               "monitor observed a simulator of another graph");
   observe_rho(sim);
   observe_constraints(sim, run);
   if (run.deadlocked()) {
@@ -140,27 +148,33 @@ void ConformanceMonitor::observe(const Simulator& sim, const RunResult& run) {
 }
 
 void ConformanceMonitor::observe_rho(const Simulator& sim) {
+  // The engine keeps each actor's first max_events overruns.  Events are
+  // taken per actor in id order until the report holds max_events, so an
+  // actor's overrun number max_events or later is only reached once the
+  // report is full and never needs to be kept.
   for (const ActorId a : graph_->actors()) {
-    const Duration declared = graph_->actor(a).response_time;
-    const auto& records = sim.firings(a);
-    for (std::size_t k = rho_cursor_[a.index()]; k < records.size(); ++k) {
-      const Duration observed = records[k].finish - records[k].start;
-      if (observed <= declared) {
-        continue;
-      }
-      ++report_.rho_violation_total;
-      report_.rho_conformant = false;
-      if (report_.rho_violations.size() < options_.max_events) {
-        report_.rho_violations.push_back(
-            RhoViolation{a, records[k].index, declared, observed});
-        VRDF_LOG(Debug) << "conformance: actor '" << graph_->actor(a).name
-                        << "' firing " << records[k].index
-                        << " violated its rho contract (declared "
-                        << declared.to_string() << ", observed "
-                        << observed.to_string() << ")";
-      }
+    const RhoGrade& grade = sim.rho_grade(a);
+    std::int64_t& seen = rho_seen_[a.index()];
+    if (grade.overruns == seen) {
+      continue;
     }
-    rho_cursor_[a.index()] = records.size();
+    report_.rho_violation_total += grade.overruns - seen;
+    report_.rho_conformant = false;
+    const Duration declared = graph_->actor(a).response_time;
+    for (auto i = static_cast<std::size_t>(seen);
+         i < grade.first.size() &&
+         report_.rho_violations.size() < options_.max_events;
+         ++i) {
+      const RhoOverrun& overrun = grade.first[i];
+      report_.rho_violations.push_back(
+          RhoViolation{a, overrun.firing, declared, overrun.observed});
+      VRDF_LOG(Debug) << "conformance: actor '" << graph_->actor(a).name
+                      << "' firing " << overrun.firing
+                      << " violated its rho contract (declared "
+                      << declared.to_string() << ", observed "
+                      << overrun.observed.to_string() << ")";
+    }
+    seen = grade.overruns;
   }
 }
 
@@ -194,28 +208,20 @@ void ConformanceMonitor::observe_constraints(const Simulator& sim,
     starvation_cursor_[c] = run.starvations.size();
 
     // Anchored-grid grading for self-timed monitoring: lateness of start
-    // k versus first_start + k·τ.  For a strictly periodic actor with an
-    // on-time first start this coincides with the enforced grid.
-    const auto& records = sim.firings(conformance.actor);
-    std::int64_t anchored_late = 0;
-    for (std::size_t k = grid_cursor_[c]; k < records.size(); ++k) {
-      if (!grid_anchor_[c].has_value()) {
-        grid_anchor_[c] = records[k].start - tau * Rational(records[k].index);
-      }
-      const Duration lateness =
-          records[k].start -
-          (*grid_anchor_[c] + tau * Rational(records[k].index));
-      conformance.max_lateness = std::max(conformance.max_lateness, lateness);
-      if (lateness > options_.lateness_tolerance) {
-        ++anchored_late;
-        if (!conformance.first_late_firing.has_value()) {
-          conformance.first_late_firing = records[k].index;
-        }
-      }
+    // k versus first_start + k·τ, graded by the engine.  For a strictly
+    // periodic actor with an on-time first start this coincides with the
+    // enforced grid.  A late start before this segment would already
+    // have set first_late_firing, so the engine's first late index is
+    // this segment's first when none is set.
+    const GridGrade grade = sim.grid_grade(conformance.actor);
+    conformance.max_lateness =
+        std::max(conformance.max_lateness, grade.max_lateness);
+    const std::int64_t anchored_late = grade.late - late_seen_[c];
+    late_seen_[c] = grade.late;
+    if (!conformance.first_late_firing.has_value()) {
+      conformance.first_late_firing = grade.first_late;
     }
-    grid_cursor_[c] = records.size();
-    conformance.firings_observed =
-        static_cast<std::int64_t>(records.size());
+    conformance.firings_observed = grade.graded;
 
     // A starving periodic actor shows up through both lenses; count each
     // late activation once, preferring the engine's starvation record.

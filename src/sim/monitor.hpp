@@ -19,10 +19,14 @@
 //    cycle (which actor waits on which buffer, space vs tokens) instead
 //    of a bare deadlock flag.
 //
-// Events are routed through util/log.hpp at Debug (violations, watchdog)
-// and Trace (per-constraint summaries); nothing here runs on the engine's
-// firing hot path — the monitor reads the simulator's firing records
-// after (segments of) a run.
+// The per-firing checks run inside the simulator: attach() requests
+// timing grades (sim/simulator.hpp GradingRequest), so the engine
+// compares each finished firing with its declared ρ and grades each
+// constrained actor's start against its grid on its own clock, one
+// comparison per firing.  observe() reads those grades after (segments
+// of) a run and records no firings.  Events are routed through
+// util/log.hpp at Debug (violations, watchdog) and Trace (per-constraint
+// summaries).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +52,7 @@ struct RhoViolation {
 struct ConstraintConformance {
   dataflow::ActorId actor;
   Duration period;
-  /// Firings observed (recorded) so far.
+  /// Finished firings graded so far (uncapped).
   std::int64_t firings_observed = 0;
   /// Activations that missed their grid slot (starvations for strictly
   /// periodic actors; positive-lateness starts otherwise).
@@ -82,8 +86,6 @@ struct BlockageReport {
 struct MonitorOptions {
   /// Cap on stored RhoViolation events (the total count keeps counting).
   std::size_t max_events = 256;
-  /// Firing-record cap installed per actor by attach().
-  std::size_t record_cap = 1 << 18;
   /// Starts later than this past their grid slot count as late for
   /// non-periodic (anchored-grid) lateness tracking.
   Duration lateness_tolerance;
@@ -122,12 +124,14 @@ public:
                      analysis::ConstraintSet constraints,
                      MonitorOptions options = {});
 
-  /// Enables firing records on every actor of the simulator (capped at
-  /// MonitorOptions::record_cap).  Call before the first run.
+  /// Requests the monitor's timing grades from `sim` — ρ checks on every
+  /// actor, a grid per constraint — which must simulate the monitored
+  /// graph object itself.  Call before the first run; a later call
+  /// grades the firings that finish after it.
   void attach(Simulator& sim) const;
 
-  /// Ingests all firing records new since the previous observe() call,
-  /// plus the run's starvations and (on deadlock) its blocked waits.
+  /// Ingests the grades new since the previous observe() call, plus the
+  /// run's starvations and (on deadlock) its blocked waits.
   void observe(const Simulator& sim, const RunResult& run);
 
   [[nodiscard]] const MonitorReport& report() const { return report_; }
@@ -141,11 +145,10 @@ private:
   analysis::ConstraintSet constraints_;
   MonitorOptions options_;
   MonitorReport report_;
-  /// Per actor id: firing records already ingested.
-  std::vector<std::size_t> rho_cursor_;
-  /// Per constraint index: firing records already graded, grid anchor.
-  std::vector<std::size_t> grid_cursor_;
-  std::vector<std::optional<TimePoint>> grid_anchor_;
+  /// Per actor id: ρ overruns already ingested.
+  std::vector<std::int64_t> rho_seen_;
+  /// Per constraint index: anchored-grid late starts already counted.
+  std::vector<std::int64_t> late_seen_;
   /// Per constraint index: starvations already counted.
   std::vector<std::size_t> starvation_cursor_;
 };

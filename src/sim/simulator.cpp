@@ -256,6 +256,52 @@ void Simulator::record_firings(ActorId actor, std::size_t max_records) {
   config_.actors[actor.index()].record_cap = max_records;
 }
 
+void Simulator::request_grading(const GradingRequest& request) {
+  const auto& grids = request.grids;
+  for (auto grid = grids.begin(); grid != grids.end(); ++grid) {
+    check_actor(grid->actor);
+    VRDF_REQUIRE(grid->period.is_positive(), "grading period must be positive");
+    VRDF_REQUIRE(!grid->tolerance.is_negative(),
+                 "grading tolerance must be non-negative");
+    VRDF_REQUIRE(grid->max_firings >= 0,
+                 "graded firing count must be non-negative");
+    const auto same_actor = [&](const GradingRequest::Grid& g) {
+      return g.actor == grid->actor;
+    };
+    VRDF_REQUIRE(std::none_of(grading_.grids.begin(), grading_.grids.end(),
+                              same_actor) &&
+                     std::none_of(grids.begin(), grid, same_actor),
+                 "one grading grid per actor");
+  }
+  if (tick_ != nullptr) {
+    for (const GradingRequest::Grid& grid : grids) {
+      if (!(tick_->clock().scale.fits(grid.period.seconds()) &&
+            tick_->clock().scale.fits(grid.tolerance.seconds()))) {
+        fall_back_to_rational("grading grid not representable at the tick scale");
+        break;
+      }
+    }
+  }
+  grading_.grids.insert(grading_.grids.end(), grids.begin(), grids.end());
+  grading_.rho = grading_.rho || request.rho;
+  grading_.rho_events = std::max(grading_.rho_events, request.rho_events);
+  (void)forward_config([&](auto& e) { e.request_grading(request); });
+}
+
+GridGrade Simulator::grid_grade(ActorId actor) const {
+  check_actor(actor);
+  return dispatch([&](const auto& e) { return e.grid_grade(actor); },
+                  []() { return GridGrade{}; });
+}
+
+const RhoGrade& Simulator::rho_grade(ActorId actor) const {
+  check_actor(actor);
+  static const RhoGrade kNone;
+  return dispatch(
+      [&](const auto& e) -> const RhoGrade& { return e.rho_grade(actor); },
+      []() -> const RhoGrade& { return kNone; });
+}
+
 void Simulator::record_transfers(EdgeId edge, std::size_t max_records) {
   check_edge(edge);
   if (forward_config([&](auto& e) { e.record_transfers(edge, max_records); })) {
@@ -297,6 +343,10 @@ std::optional<TimeScale> Simulator::compute_scale(
         fold(fault.base.seconds());
         fold(fault.step.seconds());
       }
+    }
+    for (const GradingRequest::Grid& grid : grading_.grids) {
+      fold(grid.period.seconds());
+      fold(grid.tolerance.seconds());
     }
     if (stop.until_time.has_value()) {
       fold(stop.until_time->seconds());
@@ -340,6 +390,7 @@ void Simulator::create_engine(const StopCondition& stop) {
     rational_ = std::make_unique<detail::Engine<detail::RationalClock>>(
         graph_, std::move(config_), detail::RationalClock{});
   }
+  (void)forward_config([&](auto& e) { e.request_grading(grading_); });
 }
 
 void Simulator::fall_back_to_rational(const char* why) {

@@ -15,9 +15,10 @@
 // Internally the engine runs on an integer tick clock whenever possible:
 // before the first run it collects every rational time constant the
 // simulation can produce (response times, periods, offsets, injected
-// delays, the 1/1024 jitter grid, the stop horizon) and sets the tick
-// resolution to the LCM of their denominators, so the hot path is int64
-// arithmetic instead of rational gcd normalization.  When no such scale
+// delays, the 1/1024 jitter grid, grading periods and tolerances, the
+// stop horizon) and sets the tick resolution to the LCM of their
+// denominators, so the hot path is int64 arithmetic instead of rational
+// gcd normalization.  When no such scale
 // exists (denominator LCM overflow) it falls back to exact Rational time
 // with a diagnostic; both paths produce bit-for-bit identical results.
 // See docs/performance.md.
@@ -81,6 +82,60 @@ struct ResponseTimeFault {
   /// `burst_period` firings are affected; 0/0 affects every firing.
   std::int64_t burst_length = 0;
   std::int64_t burst_period = 0;
+};
+
+/// Timing grades the engine keeps at each firing's finish, on its own
+/// clock, so callers need no per-firing records (see
+/// Simulator::request_grading).  Phase 1 of verify_throughput fits its
+/// periodic offsets from grids; the ConformanceMonitor reads grids and ρ
+/// overruns.
+struct GradingRequest {
+  /// One actor's starts graded against a periodic grid of `period`,
+  /// anchored at the first graded start.
+  struct Grid {
+    dataflow::ActorId actor;
+    Duration period;
+    /// Starts later than this past their slot count as late (>= 0).
+    Duration tolerance;
+    /// Grade only the first this many finished firings.
+    std::int64_t max_firings = std::numeric_limits<std::int64_t>::max();
+  };
+  std::vector<Grid> grids;
+  /// Compare every finished firing's duration with its actor's declared
+  /// ρ; count every overrun and keep the first `rho_events` per actor.
+  bool rho = false;
+  std::size_t rho_events = 0;
+};
+
+/// The running grade of one GradingRequest::Grid.  With j the first
+/// graded firing, the grid slot of firing k is anchor + k·period and its
+/// lateness is start_k − slot_k (zero for firing j).
+struct GridGrade {
+  /// Finished firings graded so far.
+  std::int64_t graded = 0;
+  /// start_j − j·period (zero before the first graded firing).
+  TimePoint anchor;
+  /// Largest lateness over the graded firings (never negative).
+  Duration max_lateness;
+  /// Graded firings whose lateness exceeded the tolerance, and the first.
+  std::int64_t late = 0;
+  std::optional<std::int64_t> first_late;
+
+  /// The smallest offset o with start_k <= o + k·period for every graded
+  /// firing k.
+  [[nodiscard]] TimePoint fit() const { return anchor + max_lateness; }
+};
+
+/// One finished firing that took longer than its actor's declared ρ.
+struct RhoOverrun {
+  std::int64_t firing = 0;  // 0-based firing index
+  Duration observed;        // finish − start
+};
+
+/// Per-actor ρ grade: every overrun counted, the first few kept.
+struct RhoGrade {
+  std::int64_t overruns = 0;
+  std::vector<RhoOverrun> first;
 };
 
 namespace detail {
@@ -196,6 +251,19 @@ public:
   /// Enables production/consumption transfer records for an edge.
   void record_transfers(dataflow::EdgeId edge, std::size_t max_records = 1 << 20);
 
+  /// Adds timing grades the engine computes at each firing's finish (see
+  /// GradingRequest).  Requests accumulate: ρ grading stays on once
+  /// requested, with the largest event cap; each actor takes at most one
+  /// grid (a second is a ContractError).
+  /// A grid requested mid-life grades the firings that finish after the
+  /// call.  Periods and tolerances join the tick scale; one a live tick
+  /// engine cannot represent falls back to exact Rational time.
+  void request_grading(const GradingRequest& request);
+  /// The grade of `actor`'s grid (empty when the actor has none).
+  [[nodiscard]] GridGrade grid_grade(dataflow::ActorId actor) const;
+  /// `actor`'s ρ overruns so far (empty unless ρ grading was requested).
+  [[nodiscard]] const RhoGrade& rho_grade(dataflow::ActorId actor) const;
+
   /// Runs until the stop condition triggers; may be called repeatedly with
   /// new conditions to continue a run.
   RunResult run(const StopCondition& stop);
@@ -251,6 +319,9 @@ private:
   const dataflow::VrdfGraph& graph_;
   ClockMode clock_mode_ = ClockMode::Auto;
   detail::SimConfig config_;  // staged until the engine exists
+  // Every grading request accepted so far, merged; handed to the engine
+  // when it is created.
+  GradingRequest grading_;
   std::unique_ptr<detail::Engine<detail::TickClock>> tick_;
   std::unique_ptr<detail::Engine<detail::RationalClock>> rational_;
   // Pre-run answers for the metric accessors (initial token counts, zeroed

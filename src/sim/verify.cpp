@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/checked_int.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::sim {
@@ -35,25 +36,28 @@ VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
   // Phase 1: self-timed; find one periodic offset per constrained actor.
   // All offsets come from the same run, so the enforced grids of phase 2
   // keep their phase-1 relative alignment.
+  // The engine grades each constrained actor's starts against its period
+  // as firings finish.  Grading is requested before the configurer runs,
+  // so a configurer that drives the simulator is graded from the start.
   Simulator phase1(graph);
-  if (configure) {
-    configure(phase1);
-  }
-  phase1.set_default_sources(options.default_seed);
+  GradingRequest grading;
   for (const analysis::ThroughputConstraint& c : constraints) {
     // The run horizon is governed by the FIRST constraint's actor, so a
     // faster secondary actor fires ~(tau_front / tau_c) times as often;
-    // cap its records accordingly or the offset fit would only see a
+    // grade that many of its firings or the offset fit would only see a
     // truncated prefix of its lateness history.
     const Rational ratio =
         constraints.front().period.seconds() / c.period.seconds();
     const std::int64_t per_front = std::max<std::int64_t>(ratio.ceil(), 1);
-    phase1.record_firings(
-        c.actor,
-        static_cast<std::size_t>(options.observe_firings) *
-                static_cast<std::size_t>(per_front) +
-            16);
+    grading.grids.push_back(GradingRequest::Grid{
+        c.actor, c.period, Duration(),
+        checked_add(checked_mul(options.observe_firings, per_front), 16)});
   }
+  phase1.request_grading(grading);
+  if (configure) {
+    configure(phase1);
+  }
+  phase1.set_default_sources(options.default_seed);
   StopCondition stop;
   stop.firing_target = StopCondition::FiringTarget{constraints.front().actor,
                                                    options.observe_firings};
@@ -82,32 +86,16 @@ VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
   offsets.reserve(constraints.size());
   Duration max_lateness;
   for (const analysis::ThroughputConstraint& c : constraints) {
-    const Duration tau = c.period;
-    // Smallest o with start_k <= o + k·τ  ==>  o = max_k(start_k − k·τ).
-    const auto& records = phase1.firings(c.actor);
-    if (records.empty()) {
+    // Smallest o with start_k <= o + k·τ  ==>  o = max_k(start_k − k·τ):
+    // the grid's fit.  Its lateness is measured from the first start.
+    const GridGrade grade = phase1.grid_grade(c.actor);
+    if (grade.graded == 0) {
       result.detail = "phase 1 recorded no firings of constrained actor '" +
                       graph.actor(c.actor).name + "'";
       return result;
     }
-    Duration offset = records[0].start.seconds().is_zero()
-                          ? Duration()
-                          : (records[0].start - TimePoint());
-    for (std::size_t k = 0; k < records.size(); ++k) {
-      const Duration lateness =
-          records[k].start -
-          (TimePoint() + tau * Rational(static_cast<std::int64_t>(k)));
-      if (lateness > offset) {
-        offset = lateness;
-      }
-      const Duration vs_first =
-          records[k].start -
-          (records[0].start + tau * Rational(static_cast<std::int64_t>(k)));
-      if (vs_first > max_lateness) {
-        max_lateness = vs_first;
-      }
-    }
-    offsets.push_back(TimePoint() + offset);
+    offsets.push_back(grade.fit());
+    max_lateness = std::max(max_lateness, grade.max_lateness);
   }
   result.max_lateness_phase1 = max_lateness;
   result.offset_used = offsets.front();
@@ -127,6 +115,11 @@ VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
   const int max_attempts = constraints.size() > 1 ? 5 : 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     Simulator phase2(graph);
+    std::optional<ConformanceMonitor> monitor;
+    if (options.monitor) {
+      monitor.emplace(graph, constraints);
+      monitor->attach(phase2);
+    }
     if (configure) {
       configure(phase2);
     }
@@ -135,11 +128,6 @@ VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
       phase2.set_actor_mode(
           constraints[c].actor,
           ActorMode::strictly_periodic(offsets[c], constraints[c].period));
-    }
-    std::optional<ConformanceMonitor> monitor;
-    if (options.monitor) {
-      monitor.emplace(graph, constraints);
-      monitor->attach(phase2);
     }
     run2 = phase2.run(stop);
     result.firings_simulated += run2.total_firings;

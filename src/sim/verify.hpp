@@ -6,7 +6,8 @@
 // Two-phase check:
 //  1. Self-timed run.  By monotonicity (Def 1) self-timed execution is the
 //     earliest possible schedule; from the constrained actor's start times
-//     we take the smallest offset o with start_k <= o + k·τ for all k.
+//     we take the smallest offset o with start_k <= o + k·τ for all k (the
+//     engine keeps this fit on its own clock, see GradingRequest).
 //  2. Enforced run.  The constrained actor is re-run strictly periodically
 //     at offset o with *identical* quantum sequences (sources are
 //     re-created by the configurer).  The capacities pass when not a
@@ -39,8 +40,8 @@ struct VerifyOptions {
   std::uint64_t default_seed = 1;
   /// Attach a ConformanceMonitor to phase 2 and return its report in
   /// VerifyResult::monitor (ρ-contract violations, per-constraint
-  /// lateness, blockage diagnosis).  Off by default: monitoring records
-  /// every actor's firings, which costs memory on long runs.
+  /// lateness, blockage diagnosis).  Off by default: monitoring adds a
+  /// ρ comparison per firing to the phase-2 run.
   bool monitor = false;
 };
 

@@ -292,6 +292,43 @@ TEST(Monitor, RhoViolationsNameTheOffendingActor) {
   EXPECT_NE(report.summary.find("'p'"), std::string::npos);
 }
 
+// The engine grades every finished firing, so overruns past 2^18 firings
+// per actor are still counted and named, and the conformance row counts
+// every graded firing.
+TEST(Monitor, RhoOverrunsLateInALongRunAreNamed) {
+  Pipeline p = make_pipeline();
+  FaultPlan plan;
+  plan.rho_overrun(p.producer, kMs / Rational(2), Rational(1), 300000, 3);
+  ConformanceMonitor monitor(
+      p.graph, {analysis::ThroughputConstraint{p.consumer, kMs}});
+  Simulator sim(p.graph);
+  sim.set_default_sources(1);
+  monitor.attach(sim);
+  plan.apply(sim);
+  StopCondition stop;
+  stop.firing_target = StopCondition::FiringTarget{p.consumer, 310000};
+  const RunResult run = sim.run(stop);
+  ASSERT_GE(run.total_firings, 620000);
+  monitor.observe(sim, run);
+
+  const sim::MonitorReport& report = monitor.report();
+  EXPECT_FALSE(report.rho_conformant);
+  EXPECT_EQ(report.rho_violation_total, 3);
+  ASSERT_EQ(report.rho_violations.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(report.rho_violations[i].actor, p.producer);
+    EXPECT_EQ(report.rho_violations[i].firing,
+              300000 + static_cast<std::int64_t>(i));
+    EXPECT_EQ(report.rho_violations[i].observed, kMs * Rational(3, 2));
+  }
+  ASSERT_EQ(report.constraints.size(), 1u);
+  EXPECT_EQ(report.constraints.front().firings_observed, 310000);
+  EXPECT_NE(report.summary.find("rho contract violated 3 times, worst "
+                                "offender 'p'"),
+            std::string::npos)
+      << report.summary;
+}
+
 TEST(Monitor, WatchdogNamesTheBlockedCycle) {
   // Capacity 2 < quantum 3: producer waits for space held by the
   // consumer, consumer waits for data held by the producer — a 2-cycle.

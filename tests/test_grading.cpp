@@ -5,10 +5,12 @@
 //    per-constraint conformance, summary) — plain, with the fleet's
 //    within-margin fault, under a segmented self-timed monitor and with a
 //    beyond-margin fault;
-//  * the same texts on the exact-Rational clock, so the tick clock and
-//    its fallback grade identically.
+//  * the same texts on the exact-Rational clock and across a mid-run
+//    fallback from the tick clock, so every clock grades identically.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "sim/monitor.hpp"
 #include "sim/simulator.hpp"
 #include "sim/verify.hpp"
+#include "util/error.hpp"
 #include "util/seed_stream.hpp"
 
 namespace vrdf {
@@ -87,6 +90,11 @@ FleetVerifyCase fleet_verify_case(const sim::SweepSpec& spec,
   }
   return out;
 }
+
+/// Builds the extra configurer of one item's simulators: called once per
+/// verify_throughput call and once per segmented monitor run.
+using ExtraFactory =
+    std::function<sim::SimulatorConfigurer(const FleetVerifyCase&)>;
 
 sim::VerifyResult verify_case(const FleetVerifyCase& c,
                               const sim::SimulatorConfigurer& extra = {}) {
@@ -211,19 +219,25 @@ FleetVerifyCase pinned_case(const PinnedItem& pinned, bool faulted) {
 /// Every pinned view of one item: plain, within-margin faulted and
 /// beyond-margin verdicts, and the segmented self-timed monitor.
 std::string render_item(const PinnedItem& pinned,
-                        const sim::SimulatorConfigurer& extra = {}) {
+                        const ExtraFactory& extra = {}) {
+  const auto extra_for = [&](const FleetVerifyCase& c) {
+    return extra ? extra(c) : sim::SimulatorConfigurer{};
+  };
   const FleetVerifyCase plain = pinned_case(pinned, false);
   FleetVerifyCase faulted = pinned_case(pinned, true);
-  std::string text = "-- plain\n" +
-                     render_verdict(verify_case(plain, extra), plain.model.graph);
+  std::string text =
+      "-- plain\n" +
+      render_verdict(verify_case(plain, extra_for(plain)), plain.model.graph);
   text += "-- faulted\n" +
-          render_verdict(verify_case(faulted, extra), faulted.model.graph);
+          render_verdict(verify_case(faulted, extra_for(faulted)),
+                         faulted.model.graph);
   text += "-- self-timed monitor\n" +
-          render_monitor(segmented_monitor(faulted, extra),
+          render_monitor(segmented_monitor(faulted, extra_for(faulted)),
                          faulted.model.graph);
   faulted.plan = beyond_margin_plan(faulted, 7);
   text += "-- beyond margin\n" +
-          render_verdict(verify_case(faulted, extra), faulted.model.graph);
+          render_verdict(verify_case(faulted, extra_for(faulted)),
+                         faulted.model.graph);
   return text;
 }
 
@@ -902,8 +916,10 @@ TEST(GradingPins, VerdictsAndMonitorReportsOnEveryFleetCell) {
 }
 
 TEST(GradingClocks, ExactRationalClockGradesIdentically) {
-  const sim::SimulatorConfigurer exact = [](Simulator& sim) {
-    sim.set_clock_mode(sim::ClockMode::ForceExactRational);
+  const ExtraFactory exact = [](const FleetVerifyCase&) {
+    return [](Simulator& sim) {
+      sim.set_clock_mode(sim::ClockMode::ForceExactRational);
+    };
   };
   for (std::size_t i = 0; i < std::size(kPinnedItems); ++i) {
     const PinnedItem& item = kPinnedItems[i];
@@ -911,6 +927,76 @@ TEST(GradingClocks, ExactRationalClockGradesIdentically) {
                  sim::constraint_mode_name(item.mode));
     EXPECT_EQ(render_item(item, exact), kPinnedTexts[i]);
   }
+}
+
+// The first simulator of each verify call (phase 1) and the segmented
+// monitor's simulator run two firings of the leading constrained actor on
+// the tick clock, then fall back to Rational time: a release delay of
+// 1/9999991 s on a firing that never comes has no tick.  The grades of the
+// two firings cross the clock conversion.  Phase 2 is left alone: it sets
+// its periodic modes after the configurer, so driving it early would
+// change the schedule.
+TEST(GradingClocks, MidRunFallbackGradesIdentically) {
+  const ExtraFactory fallback = [](const FleetVerifyCase& c) {
+    auto calls = std::make_shared<int>(0);
+    return [calls, seed = c.options.default_seed,
+            front = c.model.constraints.front().actor](Simulator& sim) {
+      if ((*calls)++ != 0) {
+        return;
+      }
+      sim.set_default_sources(seed);
+      StopCondition stop;
+      stop.firing_target = StopCondition::FiringTarget{front, 2};
+      (void)sim.run(stop);
+      EXPECT_TRUE(sim.using_tick_clock());
+      sim.inject_release_delay(front, std::int64_t{1} << 40,
+                               seconds(Rational(1, 9999991)));
+      EXPECT_FALSE(sim.using_tick_clock());
+    };
+  };
+  for (std::size_t i = 0; i < std::size(kPinnedItems); ++i) {
+    const PinnedItem& item = kPinnedItems[i];
+    SCOPED_TRACE(std::string(models::class_name(item.model_class)) + " " +
+                 sim::constraint_mode_name(item.mode));
+    EXPECT_EQ(render_item(item, fallback), kPinnedTexts[i]);
+  }
+}
+
+// A grid requested on a live tick engine whose scale cannot hold its
+// period moves the engine onto Rational time and grades from there on.
+TEST(GradingClocks, UnrepresentableGridFallsBackToRational) {
+  VrdfGraph graph;
+  const ActorId p = graph.add_actor("p", milliseconds(Rational(1)));
+  const ActorId c = graph.add_actor("c", milliseconds(Rational(1)));
+  (void)graph.add_buffer(p, c, dataflow::RateSet::singleton(1),
+                         dataflow::RateSet::singleton(1), 4);
+  Simulator sim(graph);
+  sim.set_default_sources(1);
+  StopCondition stop;
+  stop.firing_target = StopCondition::FiringTarget{c, 3};
+  (void)sim.run(stop);
+  ASSERT_TRUE(sim.using_tick_clock());
+  const Duration period = seconds(Rational(1, 9999991));
+  sim::GradingRequest request;
+  request.grids.push_back(sim::GradingRequest::Grid{c, period, Duration()});
+  sim.request_grading(request);
+  EXPECT_FALSE(sim.using_tick_clock());
+  // c has its grid; a second one is refused.
+  EXPECT_THROW(sim.request_grading(request), ContractError);
+
+  stop.firing_target = StopCondition::FiringTarget{c, 8};
+  (void)sim.run(stop);
+  const sim::GridGrade grade = sim.grid_grade(c);
+  EXPECT_EQ(grade.graded, 5);  // firings 3..7 finish after the request
+  // c starts every 1 ms, far behind a 1/9999991 s grid: every graded
+  // start after the anchor is late.
+  EXPECT_EQ(grade.late, 4);
+  EXPECT_EQ(grade.first_late, 4);
+  // Firing k of c starts at (k + 1) ms; the anchor is firing 3.
+  EXPECT_EQ(grade.anchor, TimePoint(Rational(4, 1000)) - period * Rational(3));
+  EXPECT_EQ(grade.max_lateness,
+            milliseconds(Rational(4)) - period * Rational(4));
+  EXPECT_TRUE(sim.grid_grade(p).graded == 0);
 }
 
 }  // namespace

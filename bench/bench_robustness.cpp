@@ -10,7 +10,11 @@
 //    path is a single branch, so the two must stay within noise of each
 //    other when no plan is attached);
 //  - BM_MonitoredVerify: the two-phase harness with the conformance
-//    monitor recording every firing.
+//    monitor attached (the engine grades ρ and the grid per firing);
+//  - BM_VerifyFleetItems: verify_throughput on the items a fleet sweep
+//    serves, per (class, constraint placement) cell, plain and with the
+//    faulted sweep's within-margin overrun under the monitor, cycling
+//    over the cell's first 16 items.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -23,6 +27,7 @@
 #include "sim/fleet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/verify.hpp"
+#include "util/seed_stream.hpp"
 
 namespace {
 
@@ -127,5 +132,82 @@ void BM_MonitoredVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonitoredVerify);
+
+void BM_VerifyFleetItems(benchmark::State& state) {
+  sim::SweepSpec spec;
+  spec.classes = {static_cast<models::ModelClass>(state.range(0))};
+  spec.modes = {state.range(1) != 0 ? sim::ConstraintMode::Source
+                                    : sim::ConstraintMode::Sink};
+  spec.seeds_per_class = 16;
+  const bool faulted = state.range(2) != 0;
+  // What FleetSweep::run_item hands to verify_throughput: the sized graph
+  // and, for a faulted item, the largest margin as an overrun on every
+  // firing with the monitor on.
+  struct Item {
+    models::SyntheticModel model;
+    sim::FaultPlan plan;
+    sim::VerifyOptions options;
+  };
+  const sim::FleetSweep sweep(spec);
+  std::vector<Item> items;
+  for (const sim::FleetItem& item : sweep.items()) {
+    models::RandomModelSpec random;
+    random.model_class = item.model_class;
+    random.seed = item.rng_seed;
+    random.response_fraction = spec.response_fraction;
+    random.variable_percent = spec.variable_percent;
+    random.zero_percent = spec.zero_percent;
+    random.source_constrained = item.mode == sim::ConstraintMode::Source;
+    Item prepared{models::make_random_model(random), sim::FaultPlan(item.rng_seed),
+                  sim::VerifyOptions{}};
+    analysis::apply_capacities(
+        prepared.model.graph,
+        analysis::compute_buffer_capacities(prepared.model.graph,
+                                            prepared.model.constraints));
+    prepared.options.observe_firings = spec.observe_firings;
+    prepared.options.default_seed = util::derive_seed(item.rng_seed, 1);
+    prepared.options.monitor = faulted;
+    if (faulted) {
+      const analysis::RobustnessReport margins = analysis::robustness_margins(
+          prepared.model.graph, prepared.model.constraints);
+      const analysis::ActorMargin* target = &margins.actors.front();
+      for (const analysis::ActorMargin& margin : margins.actors) {
+        if (margin.margin > target->margin) {
+          target = &margin;
+        }
+      }
+      prepared.plan.rho_overrun(target->actor, target->margin);
+    }
+    items.push_back(std::move(prepared));
+  }
+  std::size_t next = 0;
+  std::int64_t firings = 0;
+  for (auto _ : state) {
+    const Item& item = items[next];
+    next = (next + 1) % items.size();
+    const sim::VerifyResult verdict = sim::verify_throughput(
+        item.model.graph, item.model.constraints,
+        [&item](sim::Simulator& sim) { item.plan.apply(sim); }, item.options);
+    firings += verdict.firings_simulated;
+    benchmark::DoNotOptimize(verdict.ok);
+  }
+  state.SetItemsProcessed(firings);
+  std::string label = models::class_name(spec.classes.front());
+  label += state.range(1) != 0 ? "/source" : "/sink";
+  label += faulted ? "/faulted" : "/plain";
+  state.SetLabel(label);
+}
+BENCHMARK(BM_VerifyFleetItems)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int faulted = 0; faulted < 2; ++faulted) {
+        for (int model_class = 0; model_class < 5; ++model_class) {
+          b->Args({model_class, 0, faulted});
+        }
+        for (int model_class = 0; model_class < 3; ++model_class) {
+          b->Args({model_class, 1, faulted});
+        }
+      }
+    })
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

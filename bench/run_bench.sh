@@ -3,11 +3,20 @@
 # BENCH_PR<N>.json, seeding the perf trajectory across PRs.
 #
 # Usage: run_bench.sh [output-dir]
+#   output-dir  created when missing; bench/trajectory is the committed
+#               per-PR trajectory, e.g.
+#                 BENCH_PR=16 BENCH_BIN=build/bench_perf \
+#                   bench/run_bench.sh bench/trajectory
 #   BENCH_BIN   path to the bench_perf binary (default: ./bench_perf)
+#   BENCH_BUILD_TYPE  CMake build type recorded in the JSON context
+#               (the `bench` target passes it; default: unknown)
 #   BENCH_PR    PR number used in the default output name; when unset it
 #               is derived from git as <last "PR <n>:" commit> + 1, i.e.
 #               the number of the PR currently in development
 #   BENCH_OUT   output file name (default: BENCH_PR${BENCH_PR}.json)
+#
+# google-benchmark's JSON context records the host (CPUs, MHz, caches,
+# load average); the build type is added as a custom context entry.
 #
 # The script refuses to guess: when BENCH_OUT is unset and neither
 # BENCH_PR nor a "PR <n>:" commit subject determines the PR number, it
@@ -32,6 +41,7 @@ if [ -z "${BENCH_OUT:-}" ] && [ -z "${BENCH_PR:-}" ]; then
 fi
 out="${BENCH_OUT:-BENCH_PR${BENCH_PR}.json}"
 
+mkdir -p "$out_dir"
 if [ ! -x "$bin" ]; then
   echo "run_bench.sh: bench binary not found at $bin" >&2
   echo "build it first: cmake --build <build-dir> --target bench_perf" >&2
@@ -39,5 +49,6 @@ if [ ! -x "$bin" ]; then
 fi
 
 "$bin" --benchmark_format=json --benchmark_out="$out_dir/$out" \
-       --benchmark_out_format=json
+       --benchmark_out_format=json \
+       --benchmark_context=build_type="${BENCH_BUILD_TYPE:-unknown}"
 echo "wrote $out_dir/$out"

@@ -115,6 +115,13 @@ ConformanceMonitor::ConformanceMonitor(const dataflow::VrdfGraph& graph,
   for (const analysis::ThroughputConstraint& c : constraints_) {
     VRDF_REQUIRE(c.actor.is_valid() && c.actor.index() < graph.actor_count(),
                  "constrained actor does not exist in the monitored graph");
+    // attach() grades each constrained actor on one grid.
+    VRDF_REQUIRE(std::none_of(report_.constraints.begin(),
+                              report_.constraints.end(),
+                              [&](const ConstraintConformance& seen) {
+                                return seen.actor == c.actor;
+                              }),
+                 "duplicate constrained actor in the monitored set");
     ConstraintConformance conformance;
     conformance.actor = c.actor;
     conformance.period = c.period;

@@ -120,6 +120,7 @@ struct MonitorReport {
 /// segments and observations tracks a long-lived simulation online.
 class ConformanceMonitor {
 public:
+  /// Each constraint must name a distinct actor of `graph`.
   ConformanceMonitor(const dataflow::VrdfGraph& graph,
                      analysis::ConstraintSet constraints,
                      MonitorOptions options = {});

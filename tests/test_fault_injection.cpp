@@ -25,6 +25,7 @@
 #include "sim/property_checks.hpp"
 #include "sim/simulator.hpp"
 #include "sim/verify.hpp"
+#include "util/error.hpp"
 
 namespace vrdf {
 namespace {
@@ -327,6 +328,15 @@ TEST(Monitor, RhoOverrunsLateInALongRunAreNamed) {
                                 "offender 'p'"),
             std::string::npos)
       << report.summary;
+}
+
+TEST(Monitor, RefusesTwoConstraintsOnOneActor) {
+  Pipeline p = make_pipeline();
+  EXPECT_THROW(ConformanceMonitor(
+                   p.graph, {analysis::ThroughputConstraint{p.consumer, kMs},
+                             analysis::ThroughputConstraint{
+                                 p.consumer, kMs * Rational(2)}}),
+               ContractError);
 }
 
 TEST(Monitor, WatchdogNamesTheBlockedCycle) {

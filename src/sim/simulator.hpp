@@ -18,9 +18,9 @@
 // delays, the 1/1024 jitter grid, grading periods and tolerances, the
 // stop horizon) and sets the tick resolution to the LCM of their
 // denominators, so the hot path is int64 arithmetic instead of rational
-// gcd normalization.  When no such scale
-// exists (denominator LCM overflow) it falls back to exact Rational time
-// with a diagnostic; both paths produce bit-for-bit identical results.
+// gcd normalization.  When no such scale exists (denominator LCM
+// overflow) it falls back to exact Rational time with a diagnostic; both
+// paths produce bit-for-bit identical results.
 // See docs/performance.md.
 //
 // Buffer-paired edges share one quantum stream per endpoint: the producer
@@ -254,10 +254,10 @@ public:
   /// Adds timing grades the engine computes at each firing's finish (see
   /// GradingRequest).  Requests accumulate: ρ grading stays on once
   /// requested, with the largest event cap; each actor takes at most one
-  /// grid (a second is a ContractError).
-  /// A grid requested mid-life grades the firings that finish after the
-  /// call.  Periods and tolerances join the tick scale; one a live tick
-  /// engine cannot represent falls back to exact Rational time.
+  /// grid (a second is a ContractError).  A grid requested mid-life
+  /// grades the firings that finish after the call.  Periods and
+  /// tolerances join the tick scale; one a live tick engine cannot
+  /// represent falls back to exact Rational time.
   void request_grading(const GradingRequest& request);
   /// The grade of `actor`'s grid (empty when the actor has none).
   [[nodiscard]] GridGrade grid_grade(dataflow::ActorId actor) const;

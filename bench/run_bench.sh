@@ -5,7 +5,7 @@
 # Usage: run_bench.sh [output-dir]
 #   output-dir  created when missing; bench/trajectory is the committed
 #               per-PR trajectory, e.g.
-#                 BENCH_PR=16 BENCH_BIN=build/bench_perf \
+#                 BENCH_PR=<n> BENCH_BIN=build/bench_perf \
 #                   bench/run_bench.sh bench/trajectory
 #   BENCH_BIN   path to the bench_perf binary (default: ./bench_perf)
 #   BENCH_BUILD_TYPE  CMake build type recorded in the JSON context

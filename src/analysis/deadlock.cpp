@@ -34,18 +34,14 @@ std::int64_t min_deadlock_free_pair_capacity(
   return checked_sub(checked_add(production.max(), consumption.max()), g);
 }
 
-std::vector<std::int64_t> min_deadlock_free_capacities(
-    const dataflow::VrdfGraph& graph) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_cyclic_model(graph);
-  if (!validation.ok()) {
-    throw ModelError("not a consistent network of buffers: " +
-                     validation.summary());
-  }
-  const auto view = graph.buffer_view();
+namespace {
+
+/// Per buffer of a validated model, in view order.
+std::vector<std::int64_t> pair_minima(const dataflow::VrdfGraph& graph,
+                                      const dataflow::VrdfGraph::BufferView& view) {
   std::vector<std::int64_t> minima;
-  minima.reserve(view->buffers.size());
-  for (const dataflow::BufferEdges& b : view->buffers) {
+  minima.reserve(view.buffers.size());
+  for (const dataflow::BufferEdges& b : view.buffers) {
     const dataflow::Edge& data = graph.edge(b.data);
     // Initial tokens occupy containers from t=0 on: the pair slack must
     // exist on top of them or the capacity itself deadlocks the loop.
@@ -54,6 +50,20 @@ std::vector<std::int64_t> min_deadlock_free_capacities(
         data.initial_tokens));
   }
   return minima;
+}
+
+}  // namespace
+
+std::vector<std::int64_t> min_deadlock_free_capacities(
+    const dataflow::VrdfGraph& graph) {
+  const auto topology = graph.classify();
+  const dataflow::ValidationReport validation =
+      dataflow::validate_cyclic_model(graph, topology);
+  if (!validation.ok()) {
+    throw ModelError("not a consistent network of buffers: " +
+                     validation.summary());
+  }
+  return pair_minima(graph, *topology.view);
 }
 
 std::int64_t min_deadlock_free_total(const dataflow::VrdfGraph& graph) {
@@ -66,12 +76,13 @@ std::int64_t min_deadlock_free_total(const dataflow::VrdfGraph& graph) {
 
 std::vector<std::int64_t> min_deadlock_free_chain_capacities(
     const dataflow::VrdfGraph& graph) {
+  const auto topology = graph.classify();
   const dataflow::ValidationReport validation =
-      dataflow::validate_chain_model(graph);
+      dataflow::validate_chain_model(graph, topology);
   if (!validation.ok()) {
     throw ModelError("not a chain of buffers: " + validation.summary());
   }
-  return min_deadlock_free_capacities(graph);
+  return pair_minima(graph, *topology.view);
 }
 
 }  // namespace vrdf::analysis

@@ -1,5 +1,7 @@
 #include "analysis/snapshot.hpp"
 
+#include <utility>
+
 #include "dataflow/validation.hpp"
 
 namespace vrdf::analysis {
@@ -8,17 +10,17 @@ using dataflow::VrdfGraph;
 
 TopologySnapshot::TopologySnapshot(const VrdfGraph& graph)
     : graph_(&graph), revision_(graph.revision()) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_cyclic_model(graph);
+  VrdfGraph::Classification topology = graph.classify();
+  dataflow::ValidationReport validation =
+      dataflow::validate_cyclic_model(graph, topology);
   if (!validation.ok()) {
-    diagnostics_ = validation.errors;
+    diagnostics_ = std::move(validation.errors);
     return;
   }
-  auto view = graph.buffer_view();
-  // validate_cyclic_model guarantees a buffer network whose cycles all
-  // break at tokened back-edges, so the view always materialises.
-  VRDF_REQUIRE(view.has_value(), "validated model yielded no buffer view");
-  view_ = std::make_shared<const VrdfGraph::BufferView>(std::move(*view));
+  // A buffer network whose cycles all break at tokened back-edges always
+  // has a view.
+  VRDF_REQUIRE(topology.view.has_value(), "validated model yielded no buffer view");
+  view_ = std::make_shared<const VrdfGraph::BufferView>(std::move(*topology.view));
   ok_ = true;
 }
 

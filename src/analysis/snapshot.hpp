@@ -6,9 +6,12 @@
 // condensation and feedback-edge classification, topological ordering,
 // bridge finding): none of it changes when an actor is retuned, a
 // constraint's period moves, or a buffer is resized.  TopologySnapshot
-// captures that structural artifact once — it is exactly the separable
-// part of VrdfGraph::buffer_view() plus validate_cyclic_model — and every
-// analysis entry point accepts it in place of the raw graph.
+// captures that structural artifact once, from a single
+// VrdfGraph::classify() pass over the data edges: the snapshot's
+// diagnostics are validate_cyclic_model's verdict on that classification
+// and its view is the classification's buffer view (equal to
+// buffer_view()).  Every analysis entry point accepts the snapshot in
+// place of the raw graph.
 //
 // The *parameters* that do change between queries (per-actor ρ, per-edge
 // initial tokens / installed capacities) are layered on top as a
@@ -37,8 +40,9 @@ namespace vrdf::analysis {
 
 class TopologySnapshot {
 public:
-  /// Captures the structural artifact of `graph`: connectivity/pairing
-  /// validation, cycle classification and the buffer network view.  The
+  /// Captures the structural artifact of `graph` from one classify()
+  /// pass: connectivity/pairing validation, cycle classification and the
+  /// buffer network view.  The
   /// graph must outlive the snapshot (the snapshot keeps a reference);
   /// mutations after capture are detected, not followed.
   explicit TopologySnapshot(const dataflow::VrdfGraph& graph);

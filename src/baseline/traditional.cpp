@@ -1,5 +1,7 @@
 #include "baseline/traditional.hpp"
 
+#include <utility>
+
 #include "dataflow/validation.hpp"
 #include "util/checked_int.hpp"
 #include "util/error.hpp"
@@ -16,16 +18,17 @@ std::int64_t sriram_pair_capacity(std::int64_t production,
   return checked_mul(2, window);
 }
 
-TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
+namespace {
+
+TraditionalResult size_pairs(const dataflow::VrdfGraph& graph,
+                             const dataflow::VrdfGraph::Classification& topology,
+                             dataflow::ValidationReport validation) {
   TraditionalResult result;
-  const dataflow::ValidationReport validation =
-      dataflow::validate_cyclic_model(graph);
   if (!validation.ok()) {
-    result.diagnostics = validation.errors;
+    result.diagnostics = std::move(validation.errors);
     return result;
   }
-  const auto view = graph.buffer_view();
-  for (const dataflow::BufferEdges& b : view->buffers) {
+  for (const dataflow::BufferEdges& b : topology.view->buffers) {
     const dataflow::Edge& data = graph.edge(b.data);
     TraditionalPair pair;
     pair.producer = data.source;
@@ -45,15 +48,18 @@ TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
   return result;
 }
 
+}  // namespace
+
+TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
+  const auto topology = graph.classify();
+  return size_pairs(graph, topology,
+                    dataflow::validate_cyclic_model(graph, topology));
+}
+
 TraditionalResult traditional_chain_capacities(const dataflow::VrdfGraph& graph) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_chain_model(graph);
-  if (!validation.ok()) {
-    TraditionalResult result;
-    result.diagnostics = validation.errors;
-    return result;
-  }
-  return traditional_capacities(graph);
+  const auto topology = graph.classify();
+  return size_pairs(graph, topology,
+                    dataflow::validate_chain_model(graph, topology));
 }
 
 }  // namespace vrdf::baseline

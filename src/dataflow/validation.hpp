@@ -56,4 +56,15 @@ struct ValidationReport {
 /// must form a single directed chain.
 [[nodiscard]] ValidationReport validate_chain_model(const VrdfGraph& graph);
 
+/// The same three checks on a classification already computed by
+/// graph.classify(), for callers that also use its buffer view: the
+/// graph is classified once.  The one-argument forms classify and call
+/// these.
+[[nodiscard]] ValidationReport validate_cyclic_model(
+    const VrdfGraph& graph, const VrdfGraph::Classification& topology);
+[[nodiscard]] ValidationReport validate_dag_model(
+    const VrdfGraph& graph, const VrdfGraph::Classification& topology);
+[[nodiscard]] ValidationReport validate_chain_model(
+    const VrdfGraph& graph, const VrdfGraph::Classification& topology);
+
 }  // namespace vrdf::dataflow

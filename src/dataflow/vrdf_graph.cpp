@@ -1,6 +1,8 @@
 #include "dataflow/vrdf_graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -98,23 +100,40 @@ std::optional<ActorId> VrdfGraph::find_actor(std::string_view name) const {
   return it == actor_index_.end() ? std::nullopt : std::optional(it->second);
 }
 
+namespace {
+
+/// The buffers' data edges as a flat digraph over the actors; edge i is
+/// the data edge of buffers[i].
+graph::FlatDigraph data_digraph(std::size_t actor_count,
+                                const std::vector<Edge>& edges,
+                                const std::vector<BufferEdges>& buffers) {
+  std::vector<ActorId> sources;
+  std::vector<ActorId> targets;
+  sources.reserve(buffers.size());
+  targets.reserve(buffers.size());
+  for (const BufferEdges& b : buffers) {
+    sources.push_back(edges[b.data.index()].source);
+    targets.push_back(edges[b.data.index()].target);
+  }
+  return {actor_count, std::move(sources), std::move(targets)};
+}
+
+EdgeId data_edge(std::size_t buffer_index) {
+  return EdgeId(static_cast<EdgeId::underlying_type>(buffer_index));
+}
+
+}  // namespace
+
 std::optional<VrdfGraph::ChainView> VrdfGraph::chain_view() const {
   // Every edge must belong to a buffer pair; chain recognition then runs on
-  // the reduced digraph that has one edge per buffer, in data direction.
+  // the data edges alone.
   for (const Edge& e : edges_) {
     if (!e.paired.is_valid()) {
       return std::nullopt;
     }
   }
-  graph::Digraph data_only;
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    (void)data_only.add_node();
-  }
-  for (const BufferEdges& b : buffers_) {
-    const Edge& data = edges_[b.data.index()];
-    (void)data_only.add_edge(data.source, data.target);
-  }
-  const auto order = graph::chain_order(data_only);
+  const auto order =
+      graph::chain_order(data_digraph(actors_.size(), edges_, buffers_));
   if (!order.has_value()) {
     return std::nullopt;
   }
@@ -124,8 +143,7 @@ std::optional<VrdfGraph::ChainView> VrdfGraph::chain_view() const {
   view.actors = order->nodes;
   view.buffers.reserve(order->forward_edges.size());
   for (std::size_t pos = 0; pos < order->forward_edges.size(); ++pos) {
-    // Buffers were added to `data_only` in buffers_ order, so the reduced
-    // edge index is the buffer index.
+    // The data digraph's edge index is the buffer index.
     const BufferEdges& b = buffers_[order->forward_edges[pos].index()];
     const Edge& data = edges_[b.data.index()];
     if (data.source != view.actors[pos] || data.target != view.actors[pos + 1]) {
@@ -137,21 +155,28 @@ std::optional<VrdfGraph::ChainView> VrdfGraph::chain_view() const {
 }
 
 std::optional<VrdfGraph::BufferView> VrdfGraph::buffer_view() const {
-  for (const Edge& e : edges_) {
-    if (!e.paired.is_valid()) {
-      return std::nullopt;
-    }
+  return classify().view;
+}
+
+VrdfGraph::Classification VrdfGraph::classify() const {
+  Classification c;
+  c.all_paired = std::all_of(edges_.begin(), edges_.end(), [](const Edge& e) {
+    return e.paired.is_valid();
+  });
+  if (!c.all_paired) {
+    // No buffer network to classify; connectivity counts the bare edges.
+    c.weakly_connected =
+        graph::is_weakly_connected(graph::FlatDigraph(topology_));
+    return c;
   }
-  // Reduced digraph with one edge per buffer, in data direction; the
-  // reduced edge index is the buffer index.
-  graph::Digraph data_only;
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    (void)data_only.add_node();
-  }
-  for (const BufferEdges& b : buffers_) {
-    const Edge& data = edges_[b.data.index()];
-    (void)data_only.add_edge(data.source, data.target);
-  }
+  const std::size_t n = actors_.size();
+  const std::size_t m = buffers_.size();
+  // The data digraph's edge index is the buffer index.  Every edge is half
+  // of a buffer, so the data edges connect what the whole graph connects.
+  const graph::FlatDigraph data = data_digraph(n, edges_, buffers_);
+  c.weakly_connected = graph::is_weakly_connected(data);
+  const std::vector<std::uint32_t> component = graph::strong_components(data);
+
   // Feedback classification: a *minimal* set of tokened on-cycle data
   // edges whose removal leaves the skeleton acyclic.  Token-free edges
   // always belong to the skeleton — a cycle whose edges are all
@@ -162,76 +187,127 @@ std::optional<VrdfGraph::BufferView> VrdfGraph::buffer_view() const {
   // carrying several tokened edges thus breaks at the last-inserted one
   // — deterministic — and the others keep ordering the skeleton instead
   // of orphaning their endpoints.)
-  const graph::FeedbackArcView arcs = graph::feedback_arc_view(data_only);
-  std::vector<bool> feedback(buffers_.size(), false);
-  graph::Digraph skeleton;
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    (void)skeleton.add_node();
+  enum : std::uint8_t { kFeedback, kFirstRound, kReadmitted };
+  std::vector<std::uint8_t> skeleton(m);
+  c.on_cycle.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const ActorId s = data.source(data_edge(i));
+    const ActorId t = data.target(data_edge(i));
+    c.on_cycle[i] = s == t || component[s.index()] == component[t.index()];
+    const bool tokened = edges_[buffers_[i].data.index()].initial_tokens != 0;
+    skeleton[i] = c.on_cycle[i] && tokened ? kFeedback : kFirstRound;
   }
-  for (std::size_t i = 0; i < buffers_.size(); ++i) {
-    const Edge& data = edges_[buffers_[i].data.index()];
-    if (!arcs.edge_on_cycle[i] || data.initial_tokens == 0) {
-      (void)skeleton.add_edge(data.source, data.target);
+  // reaches(from, to): a directed skeleton path from -> to.  A path that
+  // closes a cycle through an edge never leaves the edge's component, so
+  // the search stays inside it.  Each search stamps the actors it visits.
+  std::vector<std::uint32_t> visited(n, 0);
+  std::uint32_t stamp = 0;
+  std::vector<ActorId> stack;
+  const auto reaches = [&](ActorId from, ActorId to) {
+    ++stamp;
+    stack.assign(1, from);
+    visited[from.index()] = stamp;
+    while (!stack.empty()) {
+      const ActorId u = stack.back();
+      stack.pop_back();
+      if (u == to) {
+        return true;
+      }
+      for (const EdgeId e : data.out_edges(u)) {
+        const ActorId w = data.target(e);
+        if (skeleton[e.index()] != kFeedback &&
+            component[w.index()] == component[from.index()] &&
+            visited[w.index()] != stamp) {
+          visited[w.index()] = stamp;
+          stack.push_back(w);
+        }
+      }
+    }
+    return false;
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    const ActorId s = data.source(data_edge(i));
+    const ActorId t = data.target(data_edge(i));
+    if (skeleton[i] == kFeedback && s != t && !reaches(t, s)) {
+      skeleton[i] = kReadmitted;
     }
   }
-  if (graph::has_directed_cycle(skeleton)) {
-    return std::nullopt;  // directed cycle with no initial token on any edge
-  }
-  for (std::size_t i = 0; i < buffers_.size(); ++i) {
-    const Edge& data = edges_[buffers_[i].data.index()];
-    if (!arcs.edge_on_cycle[i] || data.initial_tokens == 0) {
-      continue;
-    }
-    feedback[i] = data.source == data.target ||
-                  graph::has_path(skeleton, data.target, data.source);
-    if (!feedback[i]) {
-      (void)skeleton.add_edge(data.source, data.target);
+
+  // Kahn's topological sort of the skeleton.  An actor's first-round
+  // edges are walked before its re-admitted ones, as in a skeleton built
+  // edge by edge; that order decides which ready actor comes first.  With
+  // a token-free cycle the sort cannot place every actor.
+  std::vector<std::uint32_t> in_degree(n, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (skeleton[i] != kFeedback) {
+      ++in_degree[data.target(data_edge(i)).index()];
     }
   }
-  const auto order = graph::topological_order(skeleton);
-  // The greedy pass only admitted cycle-free insertions.
-  VRDF_REQUIRE(order.has_value(), "feedback classification left a cycle");
+  std::vector<ActorId> order;
+  order.reserve(n);
+  stack.clear();
+  for (std::size_t a = 0; a < n; ++a) {
+    if (in_degree[a] == 0) {
+      stack.push_back(ActorId(static_cast<ActorId::underlying_type>(a)));
+    }
+  }
+  while (!stack.empty()) {
+    const ActorId u = stack.back();
+    stack.pop_back();
+    order.push_back(u);
+    for (const std::uint8_t round : {kFirstRound, kReadmitted}) {
+      for (const EdgeId e : data.out_edges(u)) {
+        const ActorId w = data.target(e);
+        if (skeleton[e.index()] == round && --in_degree[w.index()] == 0) {
+          stack.push_back(w);
+        }
+      }
+    }
+  }
+  if (order.size() != n) {
+    c.token_free_cycle = true;
+    return c;
+  }
 
   BufferView view;
-  view.actors = *order;
-  std::vector<std::size_t> position(actors_.size());
-  for (std::size_t i = 0; i < view.actors.size(); ++i) {
+  view.actors = std::move(order);
+  std::vector<std::size_t> position(n);
+  for (std::size_t i = 0; i < n; ++i) {
     position[view.actors[i].index()] = i;
   }
-  // Stable sort keeps insertion order among buffers sharing a producer.
-  std::vector<std::size_t> by_producer(buffers_.size());
-  for (std::size_t i = 0; i < by_producer.size(); ++i) {
-    by_producer[i] = i;
+  // Counting sort by producer position; insertion order is kept among
+  // buffers sharing a producer.
+  std::vector<std::size_t> start(n + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    ++start[position[data.source(data_edge(i)).index()] + 1];
   }
-  std::stable_sort(by_producer.begin(), by_producer.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const Edge& ea = edges_[buffers_[a].data.index()];
-                     const Edge& eb = edges_[buffers_[b].data.index()];
-                     return position[ea.source.index()] <
-                            position[eb.source.index()];
-                   });
-  view.buffers.reserve(buffers_.size());
-  view.in_buffers.resize(actors_.size());
-  view.out_buffers.resize(actors_.size());
-  const std::vector<bool> bridge = graph::undirected_bridges(data_only);
-  view.on_reconvergent_path.reserve(buffers_.size());
-  view.on_cycle.reserve(buffers_.size());
-  view.is_feedback.reserve(buffers_.size());
-  for (std::size_t pos = 0; pos < by_producer.size(); ++pos) {
+  for (std::size_t p = 0; p < n; ++p) {
+    start[p + 1] += start[p];
+  }
+  std::vector<std::size_t> by_producer(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    by_producer[start[position[data.source(data_edge(i)).index()]]++] = i;
+  }
+  const std::vector<bool> bridge = graph::undirected_bridges(data);
+  view.buffers.reserve(m);
+  view.in_buffers.resize(n);
+  view.out_buffers.resize(n);
+  view.on_reconvergent_path.reserve(m);
+  view.on_cycle.reserve(m);
+  view.is_feedback.reserve(m);
+  for (std::size_t pos = 0; pos < m; ++pos) {
     const std::size_t index = by_producer[pos];
-    const BufferEdges& b = buffers_[index];
-    const Edge& data = edges_[b.data.index()];
-    view.buffers.push_back(b);
-    if (feedback[index]) {
+    const bool feedback = skeleton[index] == kFeedback;
+    view.buffers.push_back(buffers_[index]);
+    if (feedback) {
       view.feedback_buffers.push_back(pos);
     } else {
-      view.out_buffers[data.source.index()].push_back(pos);
-      view.in_buffers[data.target.index()].push_back(pos);
+      view.out_buffers[data.source(data_edge(index)).index()].push_back(pos);
+      view.in_buffers[data.target(data_edge(index)).index()].push_back(pos);
     }
-    // Buffers were added to `data_only` in buffers_ order.
     view.on_reconvergent_path.push_back(!bridge[index]);
-    view.on_cycle.push_back(arcs.edge_on_cycle[index]);
-    view.is_feedback.push_back(feedback[index]);
+    view.on_cycle.push_back(c.on_cycle[index]);
+    view.is_feedback.push_back(feedback);
   }
   view.is_cyclic = !view.feedback_buffers.empty();
   bool degrees_chain_like = true;
@@ -246,9 +322,9 @@ std::optional<VrdfGraph::BufferView> VrdfGraph::buffer_view() const {
                          view.in_buffers[a.index()].size() <= 1 &&
                          view.out_buffers[a.index()].size() <= 1;
   }
-  view.is_chain = degrees_chain_like && !view.is_cyclic &&
-                  graph::is_weakly_connected(data_only);
-  return view;
+  view.is_chain = degrees_chain_like && !view.is_cyclic && c.weakly_connected;
+  c.view = std::move(view);
+  return c;
 }
 
 void VrdfGraph::set_initial_tokens(EdgeId id, std::int64_t tokens) {

@@ -193,10 +193,35 @@ public:
     bool is_chain = false;
   };
 
-  /// Buffer-network recognition over data edges.  Returns nullopt when the
-  /// graph contains unpaired edges or a directed data cycle with no
-  /// initial token on any of its edges (a token-free cycle deadlocks).
+  /// Buffer-network recognition over data edges: classify().view.
+  /// Returns nullopt when the graph contains unpaired edges or a directed
+  /// data cycle with no initial token on any of its edges (a token-free
+  /// cycle deadlocks).
   [[nodiscard]] std::optional<BufferView> buffer_view() const;
+
+  /// The structural classification of the graph, from one pass over its
+  /// data edges: the facts the model validators of
+  /// dataflow/validation.hpp judge, and the buffer view.
+  struct Classification {
+    /// Every edge belongs to a buffer pair.  When false, nothing below but
+    /// weakly_connected is computed.
+    bool all_paired = true;
+    /// The graph — every edge, paired or not — is weakly connected.
+    bool weakly_connected = true;
+    /// Per buffer, in insertion order (as buffers()): the data edge lies on
+    /// a directed cycle of the data edges (self-loop or intra-SCC edge).
+    std::vector<bool> on_cycle;
+    /// Some directed cycle of the data edges carries no initial token.
+    bool token_free_cycle = false;
+    /// The buffer view; nullopt exactly when !all_paired or
+    /// token_free_cycle.
+    std::optional<BufferView> view;
+  };
+  /// Builds the data adjacency once, in flat arrays (edge index = buffer
+  /// index), and derives everything from it: one SCC pass (cycle edges),
+  /// the greedy feedback re-admission, one topological sort of the
+  /// skeleton, one bridge search and one connectivity check.
+  [[nodiscard]] Classification classify() const;
 
 private:
   enum class Mutation : std::uint8_t {

@@ -1,83 +1,79 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <array>
 #include <utility>
-
-#include "util/error.hpp"
 
 namespace vrdf::graph {
 
 namespace {
 
-/// Distinct undirected neighbours of every node; self-loops are reported via
-/// the boolean result.
-struct UndirectedView {
-  std::vector<std::vector<NodeId>> neighbours;
-  bool has_self_loop = false;
-};
-
-UndirectedView undirected_view(const Digraph& g) {
-  UndirectedView view;
-  view.neighbours.resize(g.node_count());
-  std::vector<std::unordered_set<NodeId>> seen(g.node_count());
-  for (const EdgeId e : g.edges()) {
-    const NodeId s = g.edge_source(e);
-    const NodeId t = g.edge_target(e);
-    if (s == t) {
-      view.has_self_loop = true;
-      continue;
-    }
-    if (seen[s.index()].insert(t).second) {
-      view.neighbours[s.index()].push_back(t);
-    }
-    if (seen[t.index()].insert(s).second) {
-      view.neighbours[t.index()].push_back(s);
-    }
-  }
-  return view;
+NodeId node(std::size_t index) {
+  return NodeId(static_cast<NodeId::underlying_type>(index));
 }
 
 }  // namespace
 
-bool is_weakly_connected(const Digraph& g) {
+bool is_weakly_connected(const FlatDigraph& g) {
   if (g.node_count() <= 1) {
     return true;
   }
-  const UndirectedView view = undirected_view(g);
   std::vector<char> visited(g.node_count(), 0);
   std::vector<NodeId> stack{NodeId(0)};
   visited[0] = 1;
   std::size_t reached = 1;
+  const auto visit = [&](NodeId m) {
+    if (visited[m.index()] == 0) {
+      visited[m.index()] = 1;
+      ++reached;
+      stack.push_back(m);
+    }
+  };
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
-    for (const NodeId m : view.neighbours[n.index()]) {
-      if (visited[m.index()] == 0) {
-        visited[m.index()] = 1;
-        ++reached;
-        stack.push_back(m);
-      }
+    for (const EdgeId e : g.out_edges(n)) {
+      visit(g.target(e));
+    }
+    for (const EdgeId e : g.in_edges(n)) {
+      visit(g.source(e));
     }
   }
   return reached == g.node_count();
 }
 
-std::optional<ChainOrder> chain_order(const Digraph& g) {
+std::optional<ChainOrder> chain_order(const FlatDigraph& g) {
   const std::size_t n = g.node_count();
   if (n == 0) {
     return std::nullopt;
   }
-  const UndirectedView view = undirected_view(g);
-  if (view.has_self_loop) {
-    return std::nullopt;
+  // Distinct undirected neighbours of every node.  A path graph has at
+  // most two per node, so two slots suffice and a third neighbour (or a
+  // self-loop) rejects the graph on the spot.
+  std::vector<std::array<NodeId, 2>> neighbours(
+      n, {NodeId::invalid(), NodeId::invalid()});
+  const auto link = [&neighbours](NodeId u, NodeId w) {
+    auto& slots = neighbours[u.index()];
+    if (slots[0] == w || slots[1] == w) {
+      return true;
+    }
+    NodeId& free = slots[0].is_valid() ? slots[1] : slots[0];
+    if (free.is_valid()) {
+      return false;
+    }
+    free = w;
+    return true;
+  };
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const EdgeId id(static_cast<EdgeId::underlying_type>(e));
+    const NodeId s = g.source(id);
+    const NodeId t = g.target(id);
+    if (s == t || !link(s, t) || !link(t, s)) {
+      return std::nullopt;
+    }
   }
   if (n == 1) {
-    if (g.edge_count() != 0) {
-      return std::nullopt;  // only self-loops possible, already rejected
-    }
-    ChainOrder order;
+    ChainOrder order;  // no edges: a self-loop was rejected above
     order.nodes = {NodeId(0)};
     return order;
   }
@@ -87,39 +83,31 @@ std::optional<ChainOrder> chain_order(const Digraph& g) {
   std::vector<NodeId> endpoints;
   std::size_t pair_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t deg = view.neighbours[i].size();
+    const std::size_t deg = static_cast<std::size_t>(neighbours[i][0].is_valid()) +
+                            static_cast<std::size_t>(neighbours[i][1].is_valid());
     pair_count += deg;
-    if (deg == 1) {
-      endpoints.push_back(NodeId(static_cast<NodeId::underlying_type>(i)));
-    } else if (deg != 2) {
+    if (deg == 0) {
       return std::nullopt;
+    }
+    if (deg == 1) {
+      endpoints.push_back(node(i));
     }
   }
   pair_count /= 2;
   if (endpoints.size() != 2 || pair_count != n - 1) {
     return std::nullopt;
   }
-  if (!is_weakly_connected(g)) {
-    return std::nullopt;
-  }
 
-  // Walk the path from one endpoint.
+  // Walk the path from one endpoint; it covers every node exactly when the
+  // graph is connected (a path plus a disjoint cycle passes the counts).
   std::vector<NodeId> path;
   path.reserve(n);
   NodeId prev = NodeId::invalid();
   NodeId cur = endpoints[0];
-  while (true) {
+  while (cur.is_valid()) {
     path.push_back(cur);
-    NodeId next = NodeId::invalid();
-    for (const NodeId m : view.neighbours[cur.index()]) {
-      if (m != prev) {
-        next = m;
-        break;
-      }
-    }
-    if (!next.is_valid()) {
-      break;
-    }
+    const auto& slots = neighbours[cur.index()];
+    const NodeId next = slots[0] != prev ? slots[0] : slots[1];
     prev = cur;
     cur = next;
   }
@@ -140,7 +128,7 @@ std::optional<ChainOrder> chain_order(const Digraph& g) {
       const NodeId w = nodes[i + 1];
       EdgeId forward = EdgeId::invalid();
       for (const EdgeId e : g.out_edges(u)) {
-        if (g.edge_target(e) == w) {
+        if (g.target(e) == w) {
           if (forward.is_valid()) {
             return std::nullopt;  // parallel forward edges: ambiguous chain
           }
@@ -152,7 +140,7 @@ std::optional<ChainOrder> chain_order(const Digraph& g) {
       }
       order.forward_edges.push_back(forward);
       for (const EdgeId e : g.out_edges(w)) {
-        if (g.edge_target(e) == u) {
+        if (g.target(e) == u) {
           order.back_edges[i].push_back(e);
         }
       }
@@ -167,93 +155,45 @@ std::optional<ChainOrder> chain_order(const Digraph& g) {
   return try_orientation(path);
 }
 
-std::optional<std::vector<NodeId>> topological_order(const Digraph& g) {
-  std::vector<std::size_t> in_deg(g.node_count(), 0);
-  for (const EdgeId e : g.edges()) {
-    ++in_deg[g.edge_target(e).index()];
-  }
-  std::vector<NodeId> ready;
-  for (const NodeId n : g.nodes()) {
-    if (in_deg[n.index()] == 0) {
-      ready.push_back(n);
-    }
-  }
-  std::vector<NodeId> order;
-  order.reserve(g.node_count());
-  while (!ready.empty()) {
-    const NodeId n = ready.back();
-    ready.pop_back();
-    order.push_back(n);
-    for (const EdgeId e : g.out_edges(n)) {
-      const NodeId m = g.edge_target(e);
-      if (--in_deg[m.index()] == 0) {
-        ready.push_back(m);
-      }
-    }
-  }
-  if (order.size() != g.node_count()) {
-    return std::nullopt;
-  }
-  return order;
-}
-
-std::optional<std::vector<NodeId>> reverse_topological_order(const Digraph& g) {
-  auto order = topological_order(g);
-  if (order.has_value()) {
-    std::reverse(order->begin(), order->end());
-  }
-  return order;
-}
-
-bool has_directed_cycle(const Digraph& g) {
-  return !topological_order(g).has_value();
-}
-
-std::vector<bool> undirected_bridges(const Digraph& g) {
+std::vector<bool> undirected_bridges(const FlatDigraph& g) {
   const std::size_t n = g.node_count();
   std::vector<bool> is_bridge(g.edge_count(), false);
-  // Undirected incidence: per node, (neighbour, edge index) including both
-  // directions of every edge.
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> incident(n);
-  for (const EdgeId e : g.edges()) {
-    const NodeId s = g.edge_source(e);
-    const NodeId t = g.edge_target(e);
-    if (s == t) {
-      continue;  // self-loops are never bridges
-    }
-    incident[s.index()].emplace_back(t, e.index());
-    incident[t.index()].emplace_back(s, e.index());
-  }
-  // Iterative DFS lowlink; an edge (u, v) with v a child is a bridge iff
+  // Iterative DFS lowlink over the undirected incidence (out-edges, then
+  // in-edges); an edge (u, v) with v a child is a bridge iff
   // low(v) > disc(u).  The parent *edge instance* is skipped, not the
-  // parent node, so parallel edges correctly form a cycle.
+  // parent node, so parallel edges correctly form a cycle; a self-loop
+  // only ever meets its own, already discovered node.
   constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
   std::vector<std::size_t> disc(n, kUnvisited);
   std::vector<std::size_t> low(n, 0);
   std::size_t timer = 0;
   struct Frame {
     NodeId node;
-    std::size_t parent_edge;  // edge index used to enter, or kUnvisited
-    std::size_t next;         // position in incident[node]
+    EdgeId parent_edge;  // edge used to enter, invalid at a root
+    std::size_t next;    // position in out-edges, then in-edges
   };
-  for (const NodeId root : g.nodes()) {
-    if (disc[root.index()] != kUnvisited) {
+  std::vector<Frame> stack;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (disc[r] != kUnvisited) {
       continue;
     }
-    std::vector<Frame> stack{{root, kUnvisited, 0}};
-    disc[root.index()] = low[root.index()] = timer++;
+    stack.push_back({node(r), EdgeId::invalid(), 0});
+    disc[r] = low[r] = timer++;
     while (!stack.empty()) {
       Frame& f = stack.back();
-      const auto& edges = incident[f.node.index()];
-      if (f.next < edges.size()) {
-        const auto [m, edge_index] = edges[f.next];
+      const auto out = g.out_edges(f.node);
+      const auto in = g.in_edges(f.node);
+      if (f.next < out.size() + in.size()) {
+        const bool forward = f.next < out.size();
+        const EdgeId e = forward ? out[f.next] : in[f.next - out.size()];
+        const NodeId m = forward ? g.target(e) : g.source(e);
         ++f.next;
-        if (edge_index == f.parent_edge) {
+        if (e == f.parent_edge) {
           continue;
         }
         if (disc[m.index()] == kUnvisited) {
           disc[m.index()] = low[m.index()] = timer++;
-          stack.push_back(Frame{m, edge_index, 0});
+          stack.push_back(Frame{m, e, 0});  // invalidates f
         } else {
           low[f.node.index()] = std::min(low[f.node.index()], disc[m.index()]);
         }
@@ -262,11 +202,10 @@ std::vector<bool> undirected_bridges(const Digraph& g) {
       const Frame done = f;
       stack.pop_back();
       if (!stack.empty()) {
-        Frame& parent = stack.back();
-        low[parent.node.index()] =
-            std::min(low[parent.node.index()], low[done.node.index()]);
-        if (low[done.node.index()] > disc[parent.node.index()]) {
-          is_bridge[done.parent_edge] = true;
+        const NodeId parent = stack.back().node;
+        low[parent.index()] = std::min(low[parent.index()], low[done.node.index()]);
+        if (low[done.node.index()] > disc[parent.index()]) {
+          is_bridge[done.parent_edge.index()] = true;
         }
       }
     }
@@ -274,42 +213,45 @@ std::vector<bool> undirected_bridges(const Digraph& g) {
   return is_bridge;
 }
 
-std::vector<std::vector<NodeId>> strongly_connected_components(const Digraph& g) {
+std::vector<std::uint32_t> strong_components(const FlatDigraph& g) {
   // Iterative Tarjan.
   const std::size_t n = g.node_count();
-  constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index(n, kUnvisited);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<char> on_stack(n, 0);
+  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> index(n, kUnvisited);
+  std::vector<std::uint32_t> lowlink(n, 0);
+  std::vector<std::uint32_t> component(n, kUnvisited);
   std::vector<NodeId> stack;
-  std::vector<std::vector<NodeId>> components;
-  std::size_t next_index = 0;
-
   struct Frame {
     NodeId node;
     std::size_t edge_pos;
   };
+  std::vector<Frame> frames;
+  std::uint32_t next_index = 0;
+  std::uint32_t next_component = 0;
+  // A node is on Tarjan's stack while it is indexed but not yet assigned a
+  // component.
+  const auto on_stack = [&](NodeId m) {
+    return component[m.index()] == kUnvisited;
+  };
 
-  for (const NodeId root : g.nodes()) {
-    if (index[root.index()] != kUnvisited) {
+  for (std::size_t r = 0; r < n; ++r) {
+    if (index[r] != kUnvisited) {
       continue;
     }
-    std::vector<Frame> frames{{root, 0}};
-    index[root.index()] = lowlink[root.index()] = next_index++;
-    stack.push_back(root);
-    on_stack[root.index()] = 1;
+    frames.push_back(Frame{node(r), 0});
+    index[r] = lowlink[r] = next_index++;
+    stack.push_back(node(r));
     while (!frames.empty()) {
       Frame& f = frames.back();
       const auto out = g.out_edges(f.node);
       if (f.edge_pos < out.size()) {
-        const NodeId m = g.edge_target(out[f.edge_pos]);
+        const NodeId m = g.target(out[f.edge_pos]);
         ++f.edge_pos;
         if (index[m.index()] == kUnvisited) {
           index[m.index()] = lowlink[m.index()] = next_index++;
           stack.push_back(m);
-          on_stack[m.index()] = 1;
-          frames.push_back(Frame{m, 0});
-        } else if (on_stack[m.index()] != 0) {
+          frames.push_back(Frame{m, 0});  // invalidates f
+        } else if (on_stack(m)) {
           lowlink[f.node.index()] =
               std::min(lowlink[f.node.index()], index[m.index()]);
         }
@@ -320,49 +262,24 @@ std::vector<std::vector<NodeId>> strongly_connected_components(const Digraph& g)
       frames.pop_back();
       if (!frames.empty()) {
         const NodeId parent = frames.back().node;
-        lowlink[parent.index()] = std::min(lowlink[parent.index()], lowlink[v.index()]);
+        lowlink[parent.index()] =
+            std::min(lowlink[parent.index()], lowlink[v.index()]);
       }
       if (lowlink[v.index()] == index[v.index()]) {
-        std::vector<NodeId> component;
-        while (true) {
-          const NodeId w = stack.back();
+        NodeId w;
+        do {
+          w = stack.back();
           stack.pop_back();
-          on_stack[w.index()] = 0;
-          component.push_back(w);
-          if (w == v) {
-            break;
-          }
-        }
-        components.push_back(std::move(component));
+          component[w.index()] = next_component;
+        } while (w != v);
+        ++next_component;
       }
     }
   }
-  return components;
+  return component;
 }
 
-FeedbackArcView feedback_arc_view(const Digraph& g) {
-  FeedbackArcView view;
-  view.components = strongly_connected_components(g);
-  // Tarjan emits components in reverse topological order of the
-  // condensation; flip once so cross-component edges point forward.
-  std::reverse(view.components.begin(), view.components.end());
-  view.component_of.resize(g.node_count());
-  for (std::size_t c = 0; c < view.components.size(); ++c) {
-    for (const NodeId n : view.components[c]) {
-      view.component_of[n.index()] = c;
-    }
-  }
-  view.edge_on_cycle.reserve(g.edge_count());
-  for (const EdgeId e : g.edges()) {
-    const NodeId s = g.edge_source(e);
-    const NodeId t = g.edge_target(e);
-    view.edge_on_cycle.push_back(
-        s == t || view.component_of[s.index()] == view.component_of[t.index()]);
-  }
-  return view;
-}
-
-std::optional<std::vector<NodeId>> find_directed_cycle(const Digraph& g) {
+std::optional<std::vector<NodeId>> find_directed_cycle(const FlatDigraph& g) {
   // Iterative DFS with an explicit path stack; a back edge to a node on
   // the current path closes a cycle.
   enum : char { kWhite, kGrey, kBlack };
@@ -371,24 +288,25 @@ std::optional<std::vector<NodeId>> find_directed_cycle(const Digraph& g) {
     NodeId node;
     std::size_t edge_pos;
   };
-  for (const NodeId root : g.nodes()) {
-    if (color[root.index()] != kWhite) {
+  std::vector<Frame> path;
+  for (std::size_t r = 0; r < g.node_count(); ++r) {
+    if (color[r] != kWhite) {
       continue;
     }
-    std::vector<Frame> path{{root, 0}};
-    color[root.index()] = kGrey;
+    path.push_back(Frame{node(r), 0});
+    color[r] = kGrey;
     while (!path.empty()) {
       Frame& f = path.back();
       const auto out = g.out_edges(f.node);
       if (f.edge_pos < out.size()) {
-        const NodeId m = g.edge_target(out[f.edge_pos]);
+        const NodeId m = g.target(out[f.edge_pos]);
         ++f.edge_pos;
         if (color[m.index()] == kGrey) {
-          std::vector<NodeId> cycle;
           std::size_t start = 0;
           while (path[start].node != m) {
             ++start;
           }
+          std::vector<NodeId> cycle;
           for (std::size_t i = start; i < path.size(); ++i) {
             cycle.push_back(path[i].node);
           }
@@ -396,7 +314,7 @@ std::optional<std::vector<NodeId>> find_directed_cycle(const Digraph& g) {
         }
         if (color[m.index()] == kWhite) {
           color[m.index()] = kGrey;
-          path.push_back(Frame{m, 0});
+          path.push_back(Frame{m, 0});  // invalidates f
         }
         continue;
       }
@@ -405,31 +323,6 @@ std::optional<std::vector<NodeId>> find_directed_cycle(const Digraph& g) {
     }
   }
   return std::nullopt;
-}
-
-bool has_path(const Digraph& g, NodeId src, NodeId dst) {
-  VRDF_REQUIRE(g.contains(src) && g.contains(dst), "has_path: node out of range");
-  if (src == dst) {
-    return true;
-  }
-  std::vector<char> visited(g.node_count(), 0);
-  std::vector<NodeId> stack{src};
-  visited[src.index()] = 1;
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    for (const EdgeId e : g.out_edges(n)) {
-      const NodeId m = g.edge_target(e);
-      if (m == dst) {
-        return true;
-      }
-      if (visited[m.index()] == 0) {
-        visited[m.index()] = 1;
-        stack.push_back(m);
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace vrdf::graph

@@ -1,5 +1,7 @@
 #include "graph/digraph.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace vrdf::graph {
@@ -49,6 +51,58 @@ std::vector<NodeId> Digraph::nodes() const {
   }
   return out;
 }
+
+namespace {
+
+/// Counting sort of the edge ids by `key` (stable, so each row keeps edge
+/// order) into `rows`, with `start` delimiting the rows.
+void build_rows(std::size_t node_count, const std::vector<NodeId>& key,
+                std::vector<std::uint32_t>& start, std::vector<EdgeId>& rows) {
+  start.assign(node_count + 1, 0);
+  for (const NodeId k : key) {
+    VRDF_REQUIRE(k.index() < node_count, "edge endpoint does not exist");
+    ++start[k.index() + 1];
+  }
+  for (std::size_t k = 0; k < node_count; ++k) {
+    start[k + 1] += start[k];
+  }
+  rows.resize(key.size());
+  // Fill with start[k] as row k's cursor, which leaves it at row k's end
+  // (= row k + 1's begin); shifting by one restores the begins.
+  for (std::size_t e = 0; e < key.size(); ++e) {
+    rows[start[key[e].index()]++] =
+        EdgeId(static_cast<EdgeId::underlying_type>(e));
+  }
+  for (std::size_t k = node_count; k > 0; --k) {
+    start[k] = start[k - 1];
+  }
+  start[0] = 0;
+}
+
+std::vector<NodeId> endpoints(const Digraph& g, bool sources) {
+  std::vector<NodeId> out;
+  out.reserve(g.edge_count());
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const EdgeId id(static_cast<EdgeId::underlying_type>(e));
+    out.push_back(sources ? g.edge_source(id) : g.edge_target(id));
+  }
+  return out;
+}
+
+}  // namespace
+
+FlatDigraph::FlatDigraph(std::size_t node_count, std::vector<NodeId> sources,
+                         std::vector<NodeId> targets)
+    : sources_(std::move(sources)), targets_(std::move(targets)) {
+  VRDF_REQUIRE(sources_.size() == targets_.size(),
+               "every edge needs a source and a target");
+  build_rows(node_count, sources_, out_start_, out_);
+  build_rows(node_count, targets_, in_start_, in_);
+}
+
+FlatDigraph::FlatDigraph(const Digraph& g)
+    : FlatDigraph(g.node_count(), endpoints(g, /*sources=*/true),
+                  endpoints(g, /*sources=*/false)) {}
 
 std::vector<EdgeId> Digraph::edges() const {
   std::vector<EdgeId> out;

@@ -61,7 +61,7 @@ bool TaskGraph::is_chain() const {
 }
 
 std::optional<TaskGraph::ChainOrder> TaskGraph::chain_order() const {
-  const auto order = graph::chain_order(topology_);
+  const auto order = graph::chain_order(graph::FlatDigraph(topology_));
   if (!order.has_value()) {
     return std::nullopt;
   }

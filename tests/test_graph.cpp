@@ -1,12 +1,28 @@
 // Unit tests for the digraph container and topology algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::graph {
 namespace {
+
+FlatDigraph flat(const Digraph& g) { return FlatDigraph(g); }
+
+/// Number of distinct components in a strong_components() result.
+std::size_t component_count(const std::vector<std::uint32_t>& component) {
+  std::uint32_t count = 0;
+  for (const std::uint32_t c : component) {
+    count = std::max(count, c + 1);
+  }
+  return count;
+}
 
 Digraph path_graph(std::size_t n) {
   Digraph g;
@@ -52,11 +68,48 @@ TEST(Digraph, ParallelEdgesAndSelfLoopsRepresentable) {
   EXPECT_EQ(g.out_degree(a), 3u);
 }
 
+TEST(FlatDigraph, RowsKeepEdgeOrder) {
+  // Edges 0: b->a, 1: a->b, 2: a->c, 3: c->a, 4: a->b (parallel).
+  Digraph g;
+  const NodeId a = g.add_node();
+  const NodeId b = g.add_node();
+  const NodeId c = g.add_node();
+  (void)g.add_edge(b, a);
+  (void)g.add_edge(a, b);
+  (void)g.add_edge(a, c);
+  (void)g.add_edge(c, a);
+  (void)g.add_edge(a, b);
+  const FlatDigraph f(g);
+  EXPECT_EQ(f.node_count(), 3u);
+  EXPECT_EQ(f.edge_count(), 5u);
+  const auto ids = [](std::span<const EdgeId> row) {
+    std::vector<std::size_t> out;
+    for (const EdgeId e : row) {
+      out.push_back(e.index());
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(f.out_edges(a)), (std::vector<std::size_t>{1, 2, 4}));
+  EXPECT_EQ(ids(f.in_edges(a)), (std::vector<std::size_t>{0, 3}));
+  EXPECT_EQ(ids(f.out_edges(b)), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(ids(f.in_edges(b)), (std::vector<std::size_t>{1, 4}));
+  EXPECT_EQ(ids(f.in_edges(c)), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(f.source(EdgeId(3)), c);
+  EXPECT_EQ(f.target(EdgeId(3)), a);
+}
+
+TEST(FlatDigraph, RejectsDanglingEdges) {
+  EXPECT_THROW(FlatDigraph(2, {NodeId(0)}, {NodeId(2)}), ContractError);
+  EXPECT_THROW(FlatDigraph(2, {NodeId(0)}, {}), ContractError);
+  const FlatDigraph empty(0, {}, {});
+  EXPECT_EQ(empty.node_count(), 0u);
+}
+
 TEST(WeakConnectivity, EmptyAndSingletonAreConnected) {
   Digraph g;
-  EXPECT_TRUE(is_weakly_connected(g));
+  EXPECT_TRUE(is_weakly_connected(flat(g)));
   (void)g.add_node();
-  EXPECT_TRUE(is_weakly_connected(g));
+  EXPECT_TRUE(is_weakly_connected(flat(g)));
 }
 
 TEST(WeakConnectivity, DirectionIsIgnored) {
@@ -66,19 +119,19 @@ TEST(WeakConnectivity, DirectionIsIgnored) {
   const NodeId c = g.add_node();
   (void)g.add_edge(b, a);
   (void)g.add_edge(b, c);
-  EXPECT_TRUE(is_weakly_connected(g));
+  EXPECT_TRUE(is_weakly_connected(flat(g)));
 }
 
 TEST(WeakConnectivity, DetectsDisconnection) {
   Digraph g;
   (void)g.add_node();
   (void)g.add_node();
-  EXPECT_FALSE(is_weakly_connected(g));
+  EXPECT_FALSE(is_weakly_connected(flat(g)));
 }
 
 TEST(ChainOrder, RecognizesForwardChain) {
   const Digraph g = path_graph(4);
-  const auto order = chain_order(g);
+  const auto order = chain_order(flat(g));
   ASSERT_TRUE(order.has_value());
   ASSERT_EQ(order->nodes.size(), 4u);
   EXPECT_EQ(order->nodes.front(), NodeId(0));
@@ -96,7 +149,7 @@ TEST(ChainOrder, RecognizesChainBuiltBackwards) {
   const NodeId c = g.add_node();
   (void)g.add_edge(c, b);
   (void)g.add_edge(b, a);
-  const auto order = chain_order(g);
+  const auto order = chain_order(flat(g));
   ASSERT_TRUE(order.has_value());
   EXPECT_EQ(order->nodes.front(), c);
   EXPECT_EQ(order->nodes.back(), a);
@@ -108,7 +161,7 @@ TEST(ChainOrder, AcceptsAntiParallelBackEdges) {
   const NodeId b = g.add_node();
   const EdgeId fwd = g.add_edge(a, b);
   const EdgeId back = g.add_edge(b, a);
-  const auto order = chain_order(g);
+  const auto order = chain_order(flat(g));
   ASSERT_TRUE(order.has_value());
   // Ambiguous orientation: both (a,b) and (b,a) admit exactly one forward
   // edge; the walk starts from the lower endpoint, so a comes first.
@@ -121,7 +174,7 @@ TEST(ChainOrder, AcceptsAntiParallelBackEdges) {
 TEST(ChainOrder, SingleNodeIsAChain) {
   Digraph g;
   (void)g.add_node();
-  const auto order = chain_order(g);
+  const auto order = chain_order(flat(g));
   ASSERT_TRUE(order.has_value());
   EXPECT_EQ(order->nodes.size(), 1u);
   EXPECT_TRUE(order->forward_edges.empty());
@@ -134,7 +187,7 @@ TEST(ChainOrder, RejectsBranching) {
   const NodeId c = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(a, c);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsCycle) {
@@ -145,7 +198,7 @@ TEST(ChainOrder, RejectsCycle) {
   (void)g.add_edge(a, b);
   (void)g.add_edge(b, c);
   (void)g.add_edge(c, a);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsSelfLoop) {
@@ -154,13 +207,13 @@ TEST(ChainOrder, RejectsSelfLoop) {
   const NodeId b = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(a, a);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsDisconnected) {
   Digraph g = path_graph(3);
   (void)g.add_node();
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsMixedDirectionPath) {
@@ -171,7 +224,7 @@ TEST(ChainOrder, RejectsMixedDirectionPath) {
   const NodeId c = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(c, b);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsParallelForwardEdges) {
@@ -182,7 +235,7 @@ TEST(ChainOrder, RejectsParallelForwardEdges) {
   const NodeId b = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(a, b);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsParallelForwardEdgesInsideLongerChain) {
@@ -193,25 +246,25 @@ TEST(ChainOrder, RejectsParallelForwardEdgesInsideLongerChain) {
   (void)g.add_edge(a, b);
   (void)g.add_edge(b, c);
   (void)g.add_edge(b, c);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsEmptyGraph) {
-  EXPECT_FALSE(chain_order(Digraph{}).has_value());
+  EXPECT_FALSE(chain_order(flat(Digraph{})).has_value());
 }
 
 TEST(ChainOrder, RejectsSingleNodeWithSelfLoop) {
   Digraph g;
   const NodeId a = g.add_node();
   (void)g.add_edge(a, a);
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsTwoIsolatedNodes) {
   Digraph g;
   (void)g.add_node();
   (void)g.add_node();
-  EXPECT_FALSE(chain_order(g).has_value());
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(ChainOrder, RejectsDisconnectedUnionOfTwoPaths) {
@@ -224,64 +277,12 @@ TEST(ChainOrder, RejectsDisconnectedUnionOfTwoPaths) {
   const NodeId d = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(c, d);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(TopologicalOrder, OrdersDag) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, c);
-  (void)g.add_edge(b, c);
-  const auto order = topological_order(g);
-  ASSERT_TRUE(order.has_value());
-  std::vector<std::size_t> position(3);
-  for (std::size_t i = 0; i < order->size(); ++i) {
-    position[(*order)[i].index()] = i;
-  }
-  EXPECT_LT(position[a.index()], position[b.index()]);
-  EXPECT_LT(position[b.index()], position[c.index()]);
-}
-
-TEST(TopologicalOrder, ReverseOrderPutsSuccessorsFirst) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, c);
-  (void)g.add_edge(b, c);
-  const auto reversed = reverse_topological_order(g);
-  ASSERT_TRUE(reversed.has_value());
-  std::vector<std::size_t> position(3);
-  for (std::size_t i = 0; i < reversed->size(); ++i) {
-    position[(*reversed)[i].index()] = i;
-  }
-  EXPECT_LT(position[c.index()], position[b.index()]);
-  EXPECT_LT(position[b.index()], position[a.index()]);
-  Digraph cyclic;
-  const NodeId x = cyclic.add_node();
-  const NodeId y = cyclic.add_node();
-  (void)cyclic.add_edge(x, y);
-  (void)cyclic.add_edge(y, x);
-  EXPECT_FALSE(reverse_topological_order(cyclic).has_value());
-}
-
-TEST(TopologicalOrder, DetectsCycle) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, a);
-  EXPECT_FALSE(topological_order(g).has_value());
-  EXPECT_TRUE(has_directed_cycle(g));
+  EXPECT_FALSE(chain_order(flat(g)).has_value());
 }
 
 TEST(Bridges, PathEdgesAreAllBridges) {
   const Digraph g = path_graph(4);
-  const auto bridge = undirected_bridges(g);
+  const auto bridge = undirected_bridges(flat(g));
   ASSERT_EQ(bridge.size(), 3u);
   for (const bool b : bridge) {
     EXPECT_TRUE(b);
@@ -302,7 +303,7 @@ TEST(Bridges, DiamondEdgesAreNotBridgesButTailIs) {
   (void)g.add_edge(b, d);
   (void)g.add_edge(c, d);
   const EdgeId tail = g.add_edge(d, e);
-  const auto bridge = undirected_bridges(g);
+  const auto bridge = undirected_bridges(flat(g));
   EXPECT_EQ(bridge, (std::vector<bool>{false, false, false, false, true}));
   EXPECT_TRUE(bridge[tail.index()]);
 }
@@ -316,7 +317,7 @@ TEST(Bridges, ParallelEdgesAndSelfLoopsAreNotBridges) {
   (void)g.add_edge(b, a);  // anti-parallel pair: undirected cycle
   (void)g.add_edge(b, b);  // self-loop
   (void)g.add_edge(b, c);  // bridge
-  EXPECT_EQ(undirected_bridges(g),
+  EXPECT_EQ(undirected_bridges(flat(g)),
             (std::vector<bool>{false, false, false, true}));
 }
 
@@ -326,7 +327,7 @@ TEST(Bridges, DisconnectedComponentsHandled) {
   const NodeId y = g.add_node();
   (void)g.add_edge(x, y);
   (void)g.add_edge(y, x);
-  EXPECT_EQ(undirected_bridges(g), (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(undirected_bridges(flat(g)), (std::vector<bool>{true, false, false}));
 }
 
 TEST(Scc, FindsComponents) {
@@ -340,16 +341,19 @@ TEST(Scc, FindsComponents) {
   (void)g.add_edge(b, c);
   (void)g.add_edge(c, d);
   (void)g.add_edge(d, c);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  // Each component has two nodes.
-  EXPECT_EQ(sccs[0].size(), 2u);
-  EXPECT_EQ(sccs[1].size(), 2u);
+  const auto component = strong_components(flat(g));
+  ASSERT_EQ(component.size(), 4u);
+  EXPECT_EQ(component_count(component), 2u);
+  EXPECT_EQ(component[a.index()], component[b.index()]);
+  EXPECT_EQ(component[c.index()], component[d.index()]);
+  // Reverse topological order of the condensation: {c, d}, fed by
+  // {a, b}, completes first.
+  EXPECT_LT(component[c.index()], component[a.index()]);
 }
 
 TEST(Scc, SingletonComponents) {
   const Digraph g = path_graph(3);
-  EXPECT_EQ(strongly_connected_components(g).size(), 3u);
+  EXPECT_EQ(component_count(strong_components(flat(g))), 3u);
 }
 
 TEST(Scc, BufferPairIsOneComponent) {
@@ -358,7 +362,7 @@ TEST(Scc, BufferPairIsOneComponent) {
   const NodeId b = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(b, a);
-  EXPECT_EQ(strongly_connected_components(g).size(), 1u);
+  EXPECT_EQ(component_count(strong_components(flat(g))), 1u);
 }
 
 TEST(Scc, SelfLoopStaysASingletonComponent) {
@@ -369,10 +373,9 @@ TEST(Scc, SelfLoopStaysASingletonComponent) {
   const NodeId b = g.add_node();
   (void)g.add_edge(a, a);
   (void)g.add_edge(a, b);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  EXPECT_EQ(sccs[0].size(), 1u);
-  EXPECT_EQ(sccs[1].size(), 1u);
+  const auto component = strong_components(flat(g));
+  EXPECT_EQ(component_count(component), 2u);
+  EXPECT_NE(component[a.index()], component[b.index()]);
 }
 
 TEST(Scc, ParallelAndAntiParallelEdgesDoNotOverMerge) {
@@ -386,46 +389,39 @@ TEST(Scc, ParallelAndAntiParallelEdgesDoNotOverMerge) {
   (void)g.add_edge(a, b);
   (void)g.add_edge(b, c);
   (void)g.add_edge(c, b);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  std::size_t merged = 0;
-  for (const auto& component : sccs) {
-    merged = std::max(merged, component.size());
-  }
-  EXPECT_EQ(merged, 2u);
+  const auto component = strong_components(flat(g));
+  EXPECT_EQ(component_count(component), 2u);
+  EXPECT_EQ(component[b.index()], component[c.index()]);
+  EXPECT_NE(component[a.index()], component[b.index()]);
 }
 
 TEST(Scc, DisconnectedGraphCoversEveryNode) {
   // Two disjoint pieces: a 2-cycle and an isolated node; every node must
-  // appear in exactly one component.
+  // get a component.
   Digraph g;
   const NodeId a = g.add_node();
   const NodeId b = g.add_node();
-  (void)g.add_node();  // isolated
+  const NodeId lonely = g.add_node();
   (void)g.add_edge(a, b);
   (void)g.add_edge(b, a);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  std::size_t covered = 0;
-  for (const auto& component : sccs) {
-    covered += component.size();
-  }
-  EXPECT_EQ(covered, 3u);
+  const auto component = strong_components(flat(g));
+  ASSERT_EQ(component.size(), 3u);
+  EXPECT_EQ(component_count(component), 2u);
+  EXPECT_EQ(component[a.index()], component[b.index()]);
+  EXPECT_NE(component[lonely.index()], component[a.index()]);
 }
 
 TEST(Scc, SingleNodeGraph) {
   Digraph g;
   (void)g.add_node();
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 1u);
-  EXPECT_EQ(sccs[0], (std::vector<NodeId>{NodeId(0)}));
+  EXPECT_EQ(strong_components(flat(g)), (std::vector<std::uint32_t>{0}));
 }
 
 TEST(Scc, EmptyGraphHasNoComponents) {
-  EXPECT_TRUE(strongly_connected_components(Digraph{}).empty());
+  EXPECT_TRUE(strong_components(flat(Digraph{})).empty());
 }
 
-TEST(FeedbackArcView, ClassifiesEdgesAgainstTheCondensation) {
+TEST(Scc, CycleEdgesShareAComponent) {
   // a ⇄ b → c → d → c, plus self-loop on a: the a↔b and c↔d cycles are
   // components, the bridge b→c is the only acyclic edge.
   Digraph g;
@@ -433,48 +429,40 @@ TEST(FeedbackArcView, ClassifiesEdgesAgainstTheCondensation) {
   const NodeId b = g.add_node();
   const NodeId c = g.add_node();
   const NodeId d = g.add_node();
-  const EdgeId ab = g.add_edge(a, b);
-  const EdgeId ba = g.add_edge(b, a);
+  (void)g.add_edge(a, b);
+  (void)g.add_edge(b, a);
   const EdgeId bc = g.add_edge(b, c);
-  const EdgeId cd = g.add_edge(c, d);
-  const EdgeId dc = g.add_edge(d, c);
-  const EdgeId aa = g.add_edge(a, a);
-  const FeedbackArcView view = feedback_arc_view(g);
-  ASSERT_EQ(view.components.size(), 2u);
-  // Components come in topological order: {a, b} feeds {c, d}.
-  EXPECT_EQ(view.component_of[a.index()], view.component_of[b.index()]);
-  EXPECT_EQ(view.component_of[c.index()], view.component_of[d.index()]);
-  EXPECT_LT(view.component_of[a.index()], view.component_of[c.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[ab.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[ba.index()]);
-  EXPECT_FALSE(view.edge_on_cycle[bc.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[cd.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[dc.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[aa.index()]);  // self-loop
+  (void)g.add_edge(c, d);
+  (void)g.add_edge(d, c);
+  (void)g.add_edge(a, a);
+  const FlatDigraph f = flat(g);
+  const auto component = strong_components(f);
+  EXPECT_EQ(component_count(component), 2u);
+  for (std::size_t e = 0; e < f.edge_count(); ++e) {
+    const EdgeId id(static_cast<EdgeId::underlying_type>(e));
+    const NodeId s = f.source(id);
+    const NodeId t = f.target(id);
+    const bool on_cycle =
+        s == t || component[s.index()] == component[t.index()];
+    EXPECT_EQ(on_cycle, id != bc) << "edge " << e;
+  }
 }
 
 TEST(FindDirectedCycle, ReportsACycleOrNothing) {
-  EXPECT_FALSE(find_directed_cycle(path_graph(4)).has_value());
+  EXPECT_FALSE(find_directed_cycle(flat(path_graph(4))).has_value());
 
   Digraph g = path_graph(3);  // 0 → 1 → 2
   (void)g.add_edge(NodeId(2), NodeId(0));
-  const auto cycle = find_directed_cycle(g);
+  const auto cycle = find_directed_cycle(flat(g));
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ(*cycle, (std::vector<NodeId>{NodeId(0), NodeId(1), NodeId(2)}));
 
   Digraph h;
   const NodeId n = h.add_node();
   (void)h.add_edge(n, n);
-  const auto loop = find_directed_cycle(h);
+  const auto loop = find_directed_cycle(flat(h));
   ASSERT_TRUE(loop.has_value());
   EXPECT_EQ(*loop, (std::vector<NodeId>{n}));
-}
-
-TEST(HasPath, FindsAndRejectsPaths) {
-  const Digraph g = path_graph(4);
-  EXPECT_TRUE(has_path(g, NodeId(0), NodeId(3)));
-  EXPECT_FALSE(has_path(g, NodeId(3), NodeId(0)));
-  EXPECT_TRUE(has_path(g, NodeId(2), NodeId(2)));
 }
 
 TEST(Ids, InvalidAndValidBehaviour) {

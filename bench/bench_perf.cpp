@@ -3,13 +3,20 @@
 // The buffer-capacity computation is a linear pass over the chain; the
 // plot of time versus chain length should be a straight line.  The
 // simulator's events/second bound how long the verification step of large
-// models takes.
+// models takes.  BM_Snapshot/<model> times the topology layer alone: one
+// TopologySnapshot (validation, cycle classification, buffer view) of
+// MP3 (0), the five generator classes at their default specs (1-5) and
+// random chains of 16 and 64 actors; items are snapshots.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "analysis/buffer_sizing.hpp"
+#include "analysis/snapshot.hpp"
 #include "models/mp3.hpp"
 #include "models/synthetic.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -53,6 +60,37 @@ void BM_PacingOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PacingOnly)->Arg(8)->Arg(32);
+
+dataflow::VrdfGraph snapshot_model(std::int64_t model) {
+  if (model == 0) {
+    return models::make_mp3_playback().graph;
+  }
+  if (model <= 5) {
+    models::RandomModelSpec spec;
+    spec.model_class = static_cast<models::ModelClass>(model - 1);
+    return models::make_random_model(spec).graph;
+  }
+  models::RandomChainSpec spec;
+  spec.length = static_cast<std::size_t>(model);
+  for (spec.seed = 1;; ++spec.seed) {
+    try {
+      return models::make_random_chain(spec).graph;
+    } catch (const OverflowError&) {
+      // Long chains overflow on some seeds; take the next one.
+    }
+  }
+}
+
+void BM_Snapshot(benchmark::State& state) {
+  const dataflow::VrdfGraph graph = snapshot_model(state.range(0));
+  for (auto _ : state) {
+    const analysis::TopologySnapshot snapshot(graph);
+    benchmark::DoNotOptimize(snapshot.ok());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["actors"] = static_cast<double>(graph.actor_count());
+}
+BENCHMARK(BM_Snapshot)->DenseRange(0, 5)->Arg(16)->Arg(64);
 
 void RunSimulatorFirings(benchmark::State& state, sim::ClockMode mode) {
   // Firings per second on the Fig 1 pair with random quanta.

@@ -11,29 +11,31 @@
 #   BENCH_BUILD_TYPE  CMake build type recorded in the JSON context
 #               (the `bench` target passes it; default: unknown)
 #   BENCH_PR    PR number used in the default output name; when unset it
-#               is derived from git as <last "PR <n>:" commit> + 1, i.e.
-#               the number of the PR currently in development
+#               is one more than the highest <n> of the committed
+#               bench/trajectory/BENCH_PR<n>.json files, i.e. the number
+#               of the PR currently in development.  Set it to rewrite
+#               an existing trajectory file.
 #   BENCH_OUT   output file name (default: BENCH_PR${BENCH_PR}.json)
 #
 # google-benchmark's JSON context records the host (CPUs, MHz, caches,
 # load average); the build type is added as a custom context entry.
 #
-# The script refuses to guess: when BENCH_OUT is unset and neither
-# BENCH_PR nor a "PR <n>:" commit subject determines the PR number, it
-# exits non-zero instead of writing a misnamed JSON.
+# The script refuses to guess: when BENCH_OUT and BENCH_PR are unset and
+# bench/trajectory holds no BENCH_PR<n>.json, it exits non-zero instead
+# of writing a misnamed JSON.
 set -eu
 
 out_dir="${1:-.}"
 bin="${BENCH_BIN:-./bench_perf}"
 
 if [ -z "${BENCH_OUT:-}" ] && [ -z "${BENCH_PR:-}" ]; then
-  repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-  last_pr="$(git -C "$repo_root" log --pretty=%s 2>/dev/null |
-             sed -n 's/^PR \([0-9][0-9]*\):.*/\1/p' | head -n 1 || true)"
+  trajectory="$(cd "$(dirname "$0")" && pwd)/trajectory"
+  last_pr="$(ls "$trajectory" 2>/dev/null |
+             sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$/\1/p' |
+             sort -n | tail -n 1)"
   if [ -z "$last_pr" ]; then
     echo "run_bench.sh: cannot determine the output name: BENCH_PR is" >&2
-    echo "unset and no 'PR <n>:' commit subject was found in the git" >&2
-    echo "history of $repo_root." >&2
+    echo "unset and $trajectory holds no BENCH_PR<n>.json." >&2
     echo "Set BENCH_PR=<n> or BENCH_OUT=<file> explicitly." >&2
     exit 1
   fi

@@ -187,6 +187,9 @@ VrdfGraph::Classification VrdfGraph::classify() const {
   // carrying several tokened edges thus breaks at the last-inserted one
   // — deterministic — and the others keep ordering the skeleton instead
   // of orphaning their endpoints.)
+  // Per buffer: kFirstRound edges form the skeleton from the start;
+  // tokened cycle edges start as kFeedback and are kReadmitted unless they
+  // close a cycle.
   enum : std::uint8_t { kFeedback, kFirstRound, kReadmitted };
   std::vector<std::uint8_t> skeleton(m);
   c.on_cycle.resize(m);
